@@ -31,6 +31,7 @@
 // (simulator-only; see theory/theory_cell.h).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -67,20 +68,14 @@ class CompositeRegister final : public Snapshot<V> {
     if (c_ > 1) {
       init.seq.assign(static_cast<std::size_t>(r_), {0, 0});
       init.ss.assign(static_cast<std::size_t>(c_), Item<V>{initial, 0});
-      z_.reserve(static_cast<std::size_t>(r_));
-      for (int j = 0; j < r_; ++j) {
-        // Z[j]: written by reader j, read by Writer 0 (one reader).
-        z_.push_back(std::make_unique<SmallCell<std::uint8_t>>(
-            /*readers=*/1, std::uint8_t{0}, "Z", /*payload_bits=*/2));
-      }
+      // Z[j] (written by reader j, read by Writer 0) and j's buffers.
+      slots_ = std::make_unique<ReaderSlot[]>(static_cast<std::size_t>(r_));
       // Y[1..C-1]: the recursion, with reader slot R reserved for
       // Writer 0's snapshots (Figure 2).
       inner_ = std::make_unique<CompositeRegister>(c_ - 1, r_ + 1, initial);
-      w0_.item = init.item;
-      w0_.seq = init.seq;
-      w0_.ss = init.ss;
     }
-    y0_ = std::make_unique<Cell<Y0>>(r_, init, "Y0", y0_bits());
+    w0_.rec = init;
+    y0_ = std::make_unique<Cell<Y0>>(r_, std::move(init), "Y0", y0_bits());
 #ifndef NDEBUG
     writer0_busy_ = std::make_unique<std::atomic<bool>>(false);
     reader_busy_ =
@@ -112,11 +107,9 @@ class CompositeRegister final : public Snapshot<V> {
     std::uint64_t id;
     if (c_ == 1) {
       // Base case: a 1/B/1/R composite register is an atomic register.
-      Y0 rec;
-      rec.item = Item<V>{value, ++w0_.item.id};
-      rec.wc = 0;
-      y0_->write(rec);
-      id = w0_.item.id;
+      w0_.rec.item = Item<V>{value, w0_.rec.item.id + 1};
+      y0_->write(w0_.rec);
+      id = w0_.rec.item.id;
     } else {
       id = write0(value);
     }
@@ -141,7 +134,7 @@ class CompositeRegister final : public Snapshot<V> {
 #endif
     if (c_ == 1) {
       out.resize(1);
-      out[0] = y0_->read(reader_id).item;
+      out[0] = y0_->read(reader_id, [](const Y0& y) { return y.item; });
       // relaxed: monotone stats counter, no ordering contract.
       stats_base_.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -218,14 +211,34 @@ class CompositeRegister final : public Snapshot<V> {
     std::uint8_t wc = 0;      // mod-3 write counter
   };
 
+  // The part of a Y[0] record statements 3 and 5 use.
+  struct ItemWc {
+    Item<V> item;
+    std::uint8_t wc;
+  };
+  static ItemWc item_wc(const Y0& y) { return ItemWc{y.item, y.wc}; }
+
   // Writer 0's persistent private variables (Figure 3 declares them
   // `private var` with an initialization tied to Y[0]'s initial value).
+  // They are exactly the fields of a Y[0] record, so Writer 0 keeps
+  // them as one and statements 3 and 7 write it as is.
   struct Writer0State {
-    Item<V> item;  // val written last, id counter
-    std::vector<std::array<std::uint8_t, 2>> seq;
-    std::vector<Item<V>> ss;
-    std::uint8_t wc = 0;
+    Y0 rec;                  // item, seq, ss, wc
     std::vector<Item<V>> y;  // statement 4 snapshot buffer
+  };
+
+  // Reader j's private state next to the register it writes: Z[j]
+  // (read by Writer 0 only) and the buffers statements 4 and 6 collect
+  // Y[1..C-1] into, reused by every Read on slot j. The slots sit in one
+  // array; `pad` puts 64 bytes between one slot's buffers and the next
+  // slot's Z, so a reader's Z write never invalidates a line another
+  // reader is reading. (alignas(64) would do the same but needs the
+  // aligned operator new, which made construction measurably slower.)
+  struct ReaderSlot {
+    SmallCell<std::uint8_t> z{/*readers=*/1, std::uint8_t{0}, "Z",
+                              /*payload_bits=*/2};
+    std::vector<Item<V>> b, d;
+    char pad[64];
   };
 
   // Paper: Y[0] stores val(B) + seq (2 copies x R x 2 bits) + ss (C
@@ -235,15 +248,6 @@ class CompositeRegister final : public Snapshot<V> {
     if (c_ == 1) return b;
     return b + 4 * static_cast<std::uint64_t>(r_) +
            static_cast<std::uint64_t>(c_) * b + 2;
-  }
-
-  Y0 make_y0() const {
-    Y0 rec;
-    rec.item = w0_.item;
-    rec.seq = w0_.seq;
-    rec.ss = w0_.ss;
-    rec.wc = w0_.wc;
-    return rec;
   }
 
   static std::uint8_t mod3_plus(std::uint8_t x, std::uint8_t d) {
@@ -260,76 +264,79 @@ class CompositeRegister final : public Snapshot<V> {
   }
 
   std::uint64_t write0(const V& value) {
+    Y0& w = w0_.rec;
     // 0: wc, item.val, item.id := wc (+) 1, val, item.id + 1
-    w0_.wc = mod3_plus(w0_.wc, 1);
-    w0_.item = Item<V>{value, w0_.item.id + 1};
+    w.wc = mod3_plus(w.wc, 1);
+    w.item = Item<V>{value, w.item.id + 1};
     // 1, 2.n: read seq[0, n] := Z[n]  (one read per reader)
     for (int n = 0; n < r_; ++n) {
-      w0_.seq[static_cast<std::size_t>(n)][0] =
-          z_[static_cast<std::size_t>(n)]->read(0);
+      w.seq[static_cast<std::size_t>(n)][0] =
+          slots_[static_cast<std::size_t>(n)].z.read(0);
     }
     // 3: write Y[0]; seq[1] and ss still hold the previous operation's
     //    values, so this write does not alter Y[0].seq[1] or Y[0].ss.
-    y0_->write(make_y0());
+    y0_->write(w);
     // 4: read y := Y[1..C-1]  (snapshot of the other Writers)
     inner_->scan_items(r_, w0_.y);
     // 5: ss[0], ss[k] := item, y[k]
-    w0_.ss[0] = w0_.item;
+    w.ss[0] = w.item;
     for (int k = 1; k < c_; ++k) {
-      w0_.ss[static_cast<std::size_t>(k)] =
+      w.ss[static_cast<std::size_t>(k)] =
           w0_.y[static_cast<std::size_t>(k - 1)];
     }
     // 6: seq[1] := seq[0]
     for (int n = 0; n < r_; ++n) {
-      auto& s = w0_.seq[static_cast<std::size_t>(n)];
+      auto& s = w.seq[static_cast<std::size_t>(n)];
       s[1] = s[0];
     }
     // 7: write Y[0]
-    y0_->write(make_y0());
+    y0_->write(w);
     // 8: return
-    return w0_.item.id;
+    return w.item.id;
   }
 
+  // Each read of Y[0] below is one register read that takes from the
+  // record only the fields its statement uses (HazardCell::read(j, f)
+  // looks at them in place; other cells copy the record first).
   void read_general(int j, std::vector<Item<V>>& out) {
     const std::size_t ju = static_cast<std::size_t>(j);
-    // 0: read x := Y[0]
-    const Y0 x = y0_->read(j);
+    ReaderSlot& slot = slots_[ju];
+    // 0: read x := Y[0]  (only x.seq[j] is used)
+    const std::array<std::uint8_t, 2> xseq =
+        y0_->read(j, [ju](const Y0& x) { return x.seq[ju]; });
     // 1: select newseq differing from Writer 0's two copies
-    const std::uint8_t newseq = pick_newseq(x.seq[ju][0], x.seq[ju][1]);
+    const std::uint8_t newseq = pick_newseq(xseq[0], xseq[1]);
     // 2: write Z[j] := newseq
-    z_[ju]->write(newseq);
-    // 3: read a := Y[0]
-    const Y0 a = y0_->read(j);
+    slot.z.write(newseq);
+    // 3: read a := Y[0]  (a.item, a.wc)
+    const ItemWc a = y0_->read(j, item_wc);
     // 4: read b := Y[1..C-1]
-    std::vector<Item<V>> b;
-    inner_->scan_items(j, b);
-    // 5: read c := Y[0]
-    const Y0 c = y0_->read(j);
+    inner_->scan_items(j, slot.b);
+    // 5: read c := Y[0]  (c.item, c.wc)
+    const ItemWc c = y0_->read(j, item_wc);
     // 6: read d := Y[1..C-1]
-    std::vector<Item<V>> d;
-    inner_->scan_items(j, d);
-    // 7: read e := Y[0]
-    const Y0 e = y0_->read(j);
-    // 8: three-way case analysis
+    inner_->scan_items(j, slot.d);
+    // 7: read e := Y[0], and 8's first test on it: if it holds, e.ss
+    //    is copied into out inside the read.
     out.resize(static_cast<std::size_t>(c_));
-    if (e.seq[ju][1] == newseq || e.wc == mod3_plus(a.wc, 2)) {
+    const bool adopted = y0_->read(j, [&](const Y0& e) {
+      const bool adopt =
+          e.seq[ju][1] == newseq || e.wc == mod3_plus(a.wc, 2);
+      if (adopt) std::copy(e.ss.begin(), e.ss.end(), out.begin());
+      return adopt;
+    });
+    // 8: three-way case analysis
+    if (adopted) {
       // Overlapped by "too many" 0-Writes: return an overlapping
       // Write's embedded snapshot.
-      for (int k = 0; k < c_; ++k) {
-        out[static_cast<std::size_t>(k)] = e.ss[static_cast<std::size_t>(k)];
-      }
       stats_adopted_.fetch_add(1, std::memory_order_relaxed);  // stats only, unordered
     } else if (a.wc == c.wc) {
       out[0] = a.item;
-      for (int k = 1; k < c_; ++k) {
-        out[static_cast<std::size_t>(k)] = b[static_cast<std::size_t>(k - 1)];
-      }
+      std::copy(slot.b.begin(), slot.b.end(), out.begin() + 1);
       stats_first_.fetch_add(1, std::memory_order_relaxed);  // stats only, unordered
     } else {  // c.wc == e.wc
       out[0] = c.item;
-      for (int k = 1; k < c_; ++k) {
-        out[static_cast<std::size_t>(k)] = d[static_cast<std::size_t>(k - 1)];
-      }
+      std::copy(slot.d.begin(), slot.d.end(), out.begin() + 1);
       stats_second_.fetch_add(1, std::memory_order_relaxed);  // stats only, unordered
     }
     // 9: return
@@ -338,7 +345,7 @@ class CompositeRegister final : public Snapshot<V> {
   const int c_;
   const int r_;
   std::unique_ptr<Cell<Y0>> y0_;
-  std::vector<std::unique_ptr<SmallCell<std::uint8_t>>> z_;
+  std::unique_ptr<ReaderSlot[]> slots_;  // null iff c_ == 1
   std::unique_ptr<CompositeRegister> inner_;  // null iff c_ == 1
   Writer0State w0_;                           // Writer 0 private state
 

@@ -87,6 +87,10 @@ class NetCell {
   NetCell& operator=(const NetCell&) = delete;
 
   T read(int reader_id) { return reg_.read(reader_id); }
+  template <typename F>
+  auto read(int reader_id, F&& f) {
+    return f(read(reader_id));
+  }
   void write(const T& value) { reg_.write(value); }
 
   // FallibleMrswCell surface (register_concepts.h).

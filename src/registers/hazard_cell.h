@@ -2,22 +2,34 @@
 // arbitrary payload types — the practical backend for the construction's
 // large Y[0] record.
 //
-// The writer publishes immutable heap nodes through one atomic pointer;
-// readers protect their node with a per-reader hazard slot before
-// dereferencing. Reclamation is bounded and wait-free for the writer
-// (at most readers+1 retired nodes exist; each write scans the hazard
-// slots once). Reads are linearizable (the pointer load is the
-// linearization point) and *lock-free*: a reader retries its
-// protect/verify handshake only when a write lands between its two
-// pointer loads, so every retry is charged to a concurrent write. For
-// a retry-free, strictly wait-free (but slower) cell, see
-// TaggedCell in tagged_cell.h; both satisfy the same register contract
-// the paper's construction assumes.
+// The writer publishes heap nodes through one atomic pointer; readers
+// protect their node with a per-reader hazard slot before looking at
+// it. Reads are linearizable (the pointer load is the linearization
+// point) and *lock-free*: a reader retries its protect/verify handshake
+// only when a write lands between its two pointer loads, so every retry
+// is charged to a concurrent write. For a retry-free, strictly
+// wait-free (but slower) cell, see TaggedCell in tagged_cell.h; both
+// satisfy the same register contract the paper's construction assumes.
+//
+// read(j, f) applies a visitor to the protected node in place, so a
+// caller that needs one field of a large record copies only that field;
+// read(j) is the visitor that copies the whole value.
+//
+// Nodes are recycled, not freed: each write scans the hazard slots once
+// and moves every retired node no reader protects to a writer-private
+// free list, and the next write copy-assigns into a node from that list
+// (reusing, e.g., the capacity of the payload's vectors). At most
+// readers+2 nodes ever exist (one current, at most one protected per
+// reader, one being written), so the writer allocates only until its
+// free list is warm and is wait-free: one hazard scan of bounded length
+// per write.
 #pragma once
 
 #include <atomic>
+#include <cstdint>
+#include <initializer_list>
 #include <memory>
-#include <vector>
+#include <utility>
 
 #include "sched/access.h"
 #include "sched/schedule_point.h"
@@ -39,13 +51,15 @@ class HazardCell {
     COMPREG_CHECK(readers >= 1);
     current_.store(new Node{std::move(initial)},
                    std::memory_order_relaxed);
-    retired_.reserve(static_cast<std::size_t>(readers) + 1);
+    nodes_ = 1;
     account_register(label, payload_bits, readers);
   }
 
   ~HazardCell() {
     delete current_.load(std::memory_order_relaxed);
-    for (Node* node : retired_) delete node;
+    for (Node* list : {retired_, free_}) {
+      while (list != nullptr) delete std::exchange(list, list->next);
+    }
   }
 
   HazardCell(const HazardCell&) = delete;
@@ -53,9 +67,17 @@ class HazardCell {
 
   int readers() const { return readers_; }
 
+  // Nodes allocated so far (current + retired + free); never exceeds
+  // readers+2. Writer-side: call from the writer or after it is joined.
+  std::uint64_t node_count() const { return nodes_; }
+
   // reader_id in [0, readers): each concurrent reader must use a
-  // distinct slot (two sequential reads may share one).
-  T read(int reader_id) {
+  // distinct slot (two sequential reads may share one). `f` runs on the
+  // node while the hazard slot still protects it and its result is
+  // returned by value; it must not touch any other register (it runs
+  // inside this one read, after the read's schedule point).
+  template <typename F>
+  auto read(int reader_id, F&& f) {
     COMPREG_DCHECK(reader_id >= 0 && reader_id < readers_);
     sched::point(access_.read(reader_id));
     ++op_counters().reg_reads;
@@ -68,65 +90,98 @@ class HazardCell {
       if (check == node) break;  // protected while still current => safe
       node = check;
     }
-    T out = node->value;
-    // release: the protected read of node->value must complete before
-    // the slot is published empty, or the writer could free it under us.
+    auto out = std::forward<F>(f)(std::as_const(node->value));
+    // release: the protected reads of node->value must complete before
+    // the slot is published empty, or the writer could recycle it under us.
     slot.ptr.store(nullptr, std::memory_order_release);
     return out;
+  }
+
+  T read(int reader_id) {
+    return read(reader_id, [](const T& value) { return value; });
   }
 
   // Single writer.
   void write(const T& value) {
     sched::point(access_.write());
     ++op_counters().reg_writes;
-    // audit: exempt(blocking, one allocation per write with live set bounded by readers+1 - the allocator cost is this cell's documented trade-off vs TaggedCell)
-    Node* node = new Node{value};
+    Node* node = free_;
+    if (node != nullptr) {
+      // A free-list node is neither current nor protected by any slot
+      // (reclaim() saw no slot holding it after it was retired), so
+      // no reader can dereference it: a reader that still holds its
+      // address in a slot has not validated it, and validation only
+      // succeeds once the exchange below publishes it again, after this
+      // assignment. This is the hazard argument that already covers
+      // malloc handing a freed address back to `new`.
+      free_ = node->next;
+      node->value = value;
+    } else {
+      // audit: exempt(blocking, allocates only until the free list is warm - at most readers+2 nodes ever exist, then every write recycles one)
+      node = new Node{value};
+      ++nodes_;
+      COMPREG_DCHECK(nodes_ <= static_cast<std::uint64_t>(readers_) + 2);
+    }
     Node* old = current_.exchange(node, std::memory_order_seq_cst);
-    retired_.push_back(old);
+    old->next = retired_;
+    retired_ = old;
+    ++retired_count_;
     reclaim();
   }
 
  private:
   struct Node {
     T value;
+    Node* next = nullptr;  // retired/free list link, writer-private
+    bool held = false;     // reclaim() scratch mark, writer-private
   };
   struct alignas(64) HazardSlot {
     std::atomic<Node*> ptr{nullptr};
   };
 
   void reclaim() {
-    // Writer-private. Keep nodes any reader has protected; free the
-    // rest. |retired_| never exceeds readers_+1 afterwards.
+    // Writer-private. Keep the retired nodes some reader protects; move
+    // the rest to the free list. Each slot is read once and marks at
+    // most one node, so at most readers_ nodes stay retired afterwards.
     // sched-lint: exempt(reclamation, not communication - see below)
-    // The hazard scan's outcome decides which retired nodes are freed
+    // The hazard scan's outcome decides which retired nodes are recycled
     // but never any value a process observes: readers publish only to
     // their own slot, and the caller (write) already announced its
     // labeled point before the linearizing store.
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < retired_.size(); ++i) {
-      Node* node = retired_[i];
-      bool protected_ = false;
-      for (int j = 0; j < readers_; ++j) {
-        if (hazards_[static_cast<std::size_t>(j)].ptr.load(
-                std::memory_order_seq_cst) == node) {
-          protected_ = true;
-          break;
-        }
-      }
-      if (protected_) {
-        retired_[keep++] = node;
-      } else {
-        delete node;
+    for (int j = 0; j < readers_; ++j) {
+      const Node* hazard = hazards_[static_cast<std::size_t>(j)].ptr.load(
+          std::memory_order_seq_cst);
+      Node* node = retired_;
+      for (std::size_t i = 0; i < retired_count_; ++i, node = node->next) {
+        if (node == hazard) node->held = true;
       }
     }
-    retired_.resize(keep);
+    Node* node = std::exchange(retired_, nullptr);
+    const std::size_t count = std::exchange(retired_count_, 0);
+    for (std::size_t i = 0; i < count; ++i) {
+      Node* next = node->next;
+      if (std::exchange(node->held, false)) {
+        node->next = retired_;
+        retired_ = node;
+        ++retired_count_;
+      } else {
+        node->next = free_;
+        free_ = node;
+      }
+      node = next;
+    }
   }
 
   const int readers_;
   sched::AccessLabel access_;
   std::atomic<Node*> current_{nullptr};
   std::unique_ptr<HazardSlot[]> hazards_;
-  std::vector<Node*> retired_;  // writer-private
+  // Writer-private: retired nodes (replaced, maybe still protected),
+  // free nodes (unprotected, ready for reuse) and the allocation count.
+  Node* retired_ = nullptr;
+  std::size_t retired_count_ = 0;
+  Node* free_ = nullptr;
+  std::uint64_t nodes_ = 0;
 };
 
 }  // namespace compreg::registers

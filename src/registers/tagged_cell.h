@@ -77,6 +77,12 @@ class TaggedCell {
     return best.value;
   }
 
+  // Visitor read, HazardCell's surface: `f` runs on a copy here.
+  template <typename F>
+  auto read(int reader_id, F&& f) {
+    return f(read(reader_id));
+  }
+
   // Single writer.
   void write(const T& value) {
     sched::point(access_.write());

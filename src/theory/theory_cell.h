@@ -52,6 +52,11 @@ class TheoryCell {
     return inner_.read(reader_id);
   }
 
+  template <typename F>
+  auto read(int reader_id, F&& f) {
+    return f(read(reader_id));
+  }
+
   void write(const T& value) {
     ++op_counters().reg_writes;
     sched::observe(access_.write());

@@ -134,6 +134,31 @@ class FunctionNameTest(unittest.TestCase):
         self.assertEqual(cpplex.function_name("~Foo()"), "~Foo")
         self.assertIsNone(cpplex.function_name("int x = 3"))
 
+    def test_decltype_return_types(self):
+        self.assertEqual(
+            cpplex.function_name(
+                "template <class F> decltype(auto) read(int j, F&& f)"),
+            "read")
+        self.assertEqual(
+            cpplex.function_name("decltype(a + b) sum(int a, int b)"), "sum")
+        self.assertEqual(
+            cpplex.function_name("auto get(int x) -> decltype(x)"), "get")
+        self.assertIsNone(cpplex.function_name("decltype(auto)"))
+
+    def test_decltype_auto_member_is_a_function_scope(self):
+        src = cpplex.SourceFile("<test>", """
+struct Cell {
+  template <class F>
+  decltype(auto) read(int j, F&& f) {
+    for (;;) {
+      if (p_.load() == j) return f(j);
+    }
+  }
+};
+""")
+        self.assertEqual([s.name for s in src.fn_scopes], ["read"])
+        self.assertEqual(src.enclosing_function(6).name, "read")
+
 
 if __name__ == "__main__":
     unittest.main(verbosity=2)

@@ -20,9 +20,9 @@ Guarantees the passes rely on:
   * parse_scopes() yields every brace scope with its header text and
     [start, end] line span; function classification handles member
     initializer lists, const/noexcept/override/final/trailing-return
-    specifiers, and treats lambdas and uniform-init braces as
-    non-function scopes (their contents attribute to the enclosing
-    function).
+    specifiers and `decltype(...)` return types, and treats lambdas and
+    uniform-init braces as non-function scopes (their contents
+    attribute to the enclosing function).
   * Nested templates (Foo<Bar<T>>) and brackets never unbalance the
     scope stack: only '{' / '}' drive it, and header accumulation
     resets at ';'.
@@ -96,9 +96,16 @@ def strip_comments_and_strings(text):
 
 
 def function_name(header):
-    """Identifier before the first top-level '(' of a scope header."""
+    """Identifier before the first top-level '(' of a scope header.
+
+    A `decltype(...)` group (a `decltype(auto)` or `decltype(expr)`
+    return type) is part of the return type, not the parameter list,
+    so it is skipped.
+    """
     depth = 0
-    for idx, ch in enumerate(header):
+    idx, n = 0, len(header)
+    while idx < n:
+        ch = header[idx]
         if ch in "<[":
             depth += 1
         elif ch in ">]":
@@ -107,7 +114,11 @@ def function_name(header):
             m = re.search(r"([~\w:]+)\s*$", header[:idx])
             if not m:
                 return None
+            if m.group(1) == "decltype":
+                idx, _ = balanced_args(header, idx)
+                continue
             return m.group(1).split("::")[-1]
+        idx += 1
     return None
 
 

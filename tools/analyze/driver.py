@@ -326,25 +326,30 @@ def self_test(root):
         return 64
     failures = []
     for name in sorted(PASSES):
-        mutant = os.path.join(corpus, f"mutant_{name}.h")
-        if not os.path.isfile(mutant):
-            failures.append(f"missing mutant for pass `{name}`: {mutant}")
+        primary = f"mutant_{name}.h"
+        if not os.path.isfile(os.path.join(corpus, primary)):
+            failures.append(f"missing mutant for pass `{name}`: "
+                            f"{os.path.join(corpus, primary)}")
             continue
-        report = Report()
-        audit_files([mutant], root, report)
-        mine = [f for f in report.findings if f["pass"] == name]
-        others = [f for f in report.findings if f["pass"] != name]
-        if not mine:
-            failures.append(
-                f"mutant_{name}.h: pass `{name}` reported no finding")
-        if others:
+        # mutant_<pass>_<variant>.h: extra shapes the same pass must flag.
+        variants = sorted(f for f in os.listdir(corpus)
+                          if f.startswith(f"mutant_{name}_")
+                          and f.endswith(".h"))
+        for base in [primary] + variants:
+            report = Report()
+            audit_files([os.path.join(corpus, base)], root, report)
+            mine = [f for f in report.findings if f["pass"] == name]
+            others = [f for f in report.findings if f["pass"] != name]
+            if not mine:
+                failures.append(
+                    f"{base}: pass `{name}` reported no finding")
             for f in others:
                 failures.append(
-                    f"mutant_{name}.h: unexpected [{f['pass']}] finding "
+                    f"{base}: unexpected [{f['pass']}] finding "
                     f"at line {f['line']}: {f['message']}")
-        if mine and not others:
-            print(f"analyze --self-test: mutant_{name}.h flagged by "
-                  f"`{name}` only ({len(mine)} finding(s)) ... OK")
+            if mine and not others:
+                print(f"analyze --self-test: {base} flagged by "
+                      f"`{name}` only ({len(mine)} finding(s)) ... OK")
     clean = Report()
     audit_files(
         collect_files([os.path.join(root, t) for t in DEFAULT_TREES], root),
