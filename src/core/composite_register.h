@@ -68,11 +68,17 @@ class CompositeRegister final : public Snapshot<V> {
     if (c_ > 1) {
       init.seq.assign(static_cast<std::size_t>(r_), {0, 0});
       init.ss.assign(static_cast<std::size_t>(c_), Item<V>{initial, 0});
-      // Z[j] (written by reader j, read by Writer 0) and j's buffers.
-      slots_ = std::make_unique<ReaderSlot[]>(static_cast<std::size_t>(r_));
+      // Z[j] (written by reader j, read by Writer 0), j's buffers and
+      // j's statement-8 counters. for_overwrite: every member but the
+      // never-read pad has an initializer, so the pad is left unzeroed.
+      slots_ = std::make_unique_for_overwrite<ReaderSlot[]>(
+          static_cast<std::size_t>(r_));
       // Y[1..C-1]: the recursion, with reader slot R reserved for
       // Writer 0's snapshots (Figure 2).
       inner_ = std::make_unique<CompositeRegister>(c_ - 1, r_ + 1, initial);
+    } else {
+      base_reads_ = std::make_unique_for_overwrite<BaseReadCount[]>(
+          static_cast<std::size_t>(r_));
     }
     w0_.rec = init;
     y0_ = std::make_unique<Cell<Y0>>(r_, std::move(init), "Y0", y0_bits());
@@ -135,8 +141,7 @@ class CompositeRegister final : public Snapshot<V> {
     if (c_ == 1) {
       out.resize(1);
       out[0] = y0_->read(reader_id, [](const Y0& y) { return y.item; });
-      // relaxed: monotone stats counter, no ordering contract.
-      stats_base_.fetch_add(1, std::memory_order_relaxed);
+      bump(base_reads_[static_cast<std::size_t>(reader_id)].n);
     } else {
       read_general(reader_id, out);
     }
@@ -149,23 +154,33 @@ class CompositeRegister final : public Snapshot<V> {
   using Snapshot<V>::scan;
   using Snapshot<V>::scan_items;
 
-  // Statement-8 outcome counters at this recursion level (relaxed
-  // atomics, not part of the register model). `adopted_snapshot` counts
-  // Reads that returned an overlapping 0-Write's embedded snapshot —
-  // the construction's helping mechanism (Figure 4 cases); the other
-  // two count Reads that kept their own first/second collect.
+  // Statement-8 outcome counters at this recursion level (diagnostics,
+  // not part of the register model). `adopted_snapshot` counts Reads
+  // that returned an overlapping 0-Write's embedded snapshot — the
+  // construction's helping mechanism (Figure 4 cases); the other two
+  // count Reads that kept their own first/second collect.
   struct ScanCaseStats {
     std::uint64_t adopted_snapshot = 0;  // statement 8, case 1 & 2
     std::uint64_t first_collect = 0;     // case 3 (a, b)
     std::uint64_t second_collect = 0;    // case 4 (c, d)
     std::uint64_t base_reads = 0;        // C == 1 degenerate reads
   };
+  // Sums the reader slots' counters. Each counter only grows, so the
+  // result is a monotone snapshot; it is not an atomic cut across slots
+  // while scans run.
   ScanCaseStats scan_case_stats() const {
-    return ScanCaseStats{
-        stats_adopted_.load(std::memory_order_relaxed),  // stats: no ordering
-        stats_first_.load(std::memory_order_relaxed),    // stats: no ordering
-        stats_second_.load(std::memory_order_relaxed),   // stats: no ordering
-        stats_base_.load(std::memory_order_relaxed)};    // stats: no ordering
+    ScanCaseStats s;
+    for (std::size_t j = 0; j < static_cast<std::size_t>(r_); ++j) {
+      if (c_ == 1) {
+        s.base_reads += peek(base_reads_[j].n);
+        continue;
+      }
+      const auto& n = slots_[j].cases;
+      s.adopted_snapshot += peek(n[kAdopted]);
+      s.first_collect += peek(n[kFirst]);
+      s.second_collect += peek(n[kSecond]);
+    }
+    return s;
   }
 
   // Same counters for every recursion level, outermost first (the last
@@ -227,19 +242,41 @@ class CompositeRegister final : public Snapshot<V> {
     std::vector<Item<V>> y;  // statement 4 snapshot buffer
   };
 
+  // Statement-8 outcomes, indexing ReaderSlot::cases.
+  enum Case : std::uint8_t { kAdopted, kFirst, kSecond, kCases };
+
   // Reader j's private state next to the register it writes: Z[j]
-  // (read by Writer 0 only) and the buffers statements 4 and 6 collect
-  // Y[1..C-1] into, reused by every Read on slot j. The slots sit in one
-  // array; `pad` puts 64 bytes between one slot's buffers and the next
-  // slot's Z, so a reader's Z write never invalidates a line another
-  // reader is reading. (alignas(64) would do the same but needs the
-  // aligned operator new, which made construction measurably slower.)
+  // (read by Writer 0 only), the buffers statements 4 and 6 collect
+  // Y[1..C-1] into, reused by every Read on slot j, and j's statement-8
+  // counters. The slots sit in one array; `pad` puts 64 bytes between
+  // one slot's counters and the next slot's Z, so a reader's writes
+  // never invalidate a line another reader is reading. (alignas(64)
+  // would do the same but needs the aligned operator new, which made
+  // construction measurably slower.)
   struct ReaderSlot {
     SmallCell<std::uint8_t> z{/*readers=*/1, std::uint8_t{0}, "Z",
                               /*payload_bits=*/2};
     std::vector<Item<V>> b, d;
+    std::atomic<std::uint64_t> cases[kCases]{};
     char pad[64];
   };
+
+  // The C == 1 level's per-reader read counter, one 64-byte stride
+  // apart, so no two readers' counters ever share a cache line.
+  struct BaseReadCount {
+    std::atomic<std::uint64_t> n{0};
+    char pad[56];
+  };
+
+  static void bump(std::atomic<std::uint64_t>& n) {
+    // Reader slot j alone bumps slot j's counters, so a load+store does
+    // the job of an RMW; relaxed because the counters order nothing.
+    n.store(n.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+  static std::uint64_t peek(const std::atomic<std::uint64_t>& n) {
+    // relaxed: a stats reader needs only each counter's monotonicity.
+    return n.load(std::memory_order_relaxed);
+  }
 
   // Paper: Y[0] stores val(B) + seq (2 copies x R x 2 bits) + ss (C
   // values of B bits) + wc (2 bits); ids are auxiliary and not counted.
@@ -329,15 +366,15 @@ class CompositeRegister final : public Snapshot<V> {
     if (adopted) {
       // Overlapped by "too many" 0-Writes: return an overlapping
       // Write's embedded snapshot.
-      stats_adopted_.fetch_add(1, std::memory_order_relaxed);  // stats only, unordered
+      bump(slot.cases[kAdopted]);
     } else if (a.wc == c.wc) {
       out[0] = a.item;
       std::copy(slot.b.begin(), slot.b.end(), out.begin() + 1);
-      stats_first_.fetch_add(1, std::memory_order_relaxed);  // stats only, unordered
+      bump(slot.cases[kFirst]);
     } else {  // c.wc == e.wc
       out[0] = c.item;
       std::copy(slot.d.begin(), slot.d.end(), out.begin() + 1);
-      stats_second_.fetch_add(1, std::memory_order_relaxed);  // stats only, unordered
+      bump(slot.cases[kSecond]);
     }
     // 9: return
   }
@@ -347,14 +384,11 @@ class CompositeRegister final : public Snapshot<V> {
   std::unique_ptr<Cell<Y0>> y0_;
   std::unique_ptr<ReaderSlot[]> slots_;  // null iff c_ == 1
   std::unique_ptr<CompositeRegister> inner_;  // null iff c_ == 1
-  Writer0State w0_;                           // Writer 0 private state
-
-  // Statement-8 outcome counters (see scan_case_stats()).
-  // audit: exempt(layout, every reader bumps one of these four on every scan - striping per reader would cost 64B x R per level for debug stats)
-  mutable std::atomic<std::uint64_t> stats_adopted_{0};
-  mutable std::atomic<std::uint64_t> stats_first_{0};
-  mutable std::atomic<std::uint64_t> stats_second_{0};
-  mutable std::atomic<std::uint64_t> stats_base_{0};
+  std::unique_ptr<BaseReadCount[]> base_reads_;  // null iff c_ > 1
+  // Every reader loads the members above on every scan; every 0-Write
+  // stores into w0_. The pad keeps the two off one cache line.
+  char pad_[64];
+  Writer0State w0_;  // Writer 0 private state
 
 #ifndef NDEBUG
   std::unique_ptr<std::atomic<bool>> writer0_busy_;
