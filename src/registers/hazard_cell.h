@@ -15,11 +15,18 @@
 // caller that needs one field of a large record copies only that field;
 // read(j) is the visitor that copies the whole value.
 //
+// Hazard slots are sticky: a read leaves its node pinned in slot j, and
+// the next read on slot j that finds the same node still current reads
+// it with one pointer compare — no store, no fence. The protect/verify
+// handshake runs only when a write has landed since the slot's last
+// read. read_unpin(j, f) is the same read that clears slot j at the
+// end, so a reader about to go idle pins nothing.
+//
 // Nodes are recycled, not freed: each write scans the hazard slots once
-// and moves every retired node no reader protects to a writer-private
-// free list, and the next write copy-assigns into a node from that list
+// and moves every retired node no reader pins to a writer-private free
+// list, and the next write copy-assigns into a node from that list
 // (reusing, e.g., the capacity of the payload's vectors). At most
-// readers+2 nodes ever exist (one current, at most one protected per
+// readers+2 nodes ever exist (one current, at most one pinned per
 // reader, one being written), so the writer allocates only until its
 // free list is warm and is wait-free: one hazard scan of bounded length
 // per write.
@@ -75,26 +82,18 @@ class HazardCell {
   // distinct slot (two sequential reads may share one). `f` runs on the
   // node while the hazard slot still protects it and its result is
   // returned by value; it must not touch any other register (it runs
-  // inside this one read, after the read's schedule point).
+  // inside this one read, after the read's schedule point). The node
+  // stays pinned in the slot after the read returns.
   template <typename F>
   auto read(int reader_id, F&& f) {
-    COMPREG_DCHECK(reader_id >= 0 && reader_id < readers_);
-    sched::point(access_.read(reader_id));
-    ++op_counters().reg_reads;
-    HazardSlot& slot = hazards_[static_cast<std::size_t>(reader_id)];
-    Node* node = current_.load(std::memory_order_seq_cst);
-    // audit: exempt(waitfree, hazard-pointer protect/verify is lock-free not wait-free - a retry needs a concurrent write; TaggedCell is the strictly wait-free cell)
-    for (;;) {
-      slot.ptr.store(node, std::memory_order_seq_cst);
-      Node* check = current_.load(std::memory_order_seq_cst);
-      if (check == node) break;  // protected while still current => safe
-      node = check;
-    }
-    auto out = std::forward<F>(f)(std::as_const(node->value));
-    // release: the protected reads of node->value must complete before
-    // the slot is published empty, or the writer could recycle it under us.
-    slot.ptr.store(nullptr, std::memory_order_release);
-    return out;
+    return read_impl(reader_id, std::forward<F>(f), /*unpin=*/false);
+  }
+
+  // read(reader_id, f), then clear the slot: the read a reader makes
+  // last before it may go idle, so that it keeps no node from recycling.
+  template <typename F>
+  auto read_unpin(int reader_id, F&& f) {
+    return read_impl(reader_id, std::forward<F>(f), /*unpin=*/true);
   }
 
   T read(int reader_id) {
@@ -139,6 +138,41 @@ class HazardCell {
     std::atomic<Node*> ptr{nullptr};
   };
 
+  template <typename F>
+  auto read_impl(int reader_id, F&& f, bool unpin) {
+    COMPREG_DCHECK(reader_id >= 0 && reader_id < readers_);
+    sched::point(access_.read(reader_id));
+    ++op_counters().reg_reads;
+    HazardSlot& slot = hazards_[static_cast<std::size_t>(reader_id)];
+    // relaxed: only this reader stores to its slot, so the load returns
+    // the slot's last store - the node this reader still pins, if any.
+    const Node* const pinned = slot.ptr.load(std::memory_order_relaxed);
+    Node* node = current_.load(std::memory_order_seq_cst);
+    // Fast path: node == pinned. A pinned node is never recycled
+    // (reclaim() keeps every node a slot holds), and only a recycled or
+    // fresh node can become current, so a pinned node that is current
+    // now has been current ever since this slot validated it: the load
+    // above is a valid linearization point, and the payload is the one
+    // the validating load synchronized with.
+    if (node != pinned) {
+      // audit: exempt(waitfree, hazard-pointer protect/verify is lock-free not wait-free - a retry needs a concurrent write; TaggedCell is the strictly wait-free cell)
+      for (;;) {
+        slot.ptr.store(node, std::memory_order_seq_cst);
+        Node* check = current_.load(std::memory_order_seq_cst);
+        if (check == node) break;  // protected while still current => safe
+        node = check;
+      }
+    }
+    auto out = std::forward<F>(f)(std::as_const(node->value));
+    if (unpin) {
+      // release: the protected reads of node->value must complete
+      // before the slot is published empty, or the writer could recycle
+      // the node under us.
+      slot.ptr.store(nullptr, std::memory_order_release);
+    }
+    return out;
+  }
+
   void reclaim() {
     // Writer-private. Keep the retired nodes some reader protects; move
     // the rest to the free list. Each slot is read once and marks at
@@ -176,6 +210,9 @@ class HazardCell {
   sched::AccessLabel access_;
   std::atomic<Node*> current_{nullptr};
   std::unique_ptr<HazardSlot[]> hazards_;
+  // Every read loads the members above; every write stores into the
+  // ones below. The pad keeps the two off one cache line.
+  char pad_[64];
   // Writer-private: retired nodes (replaced, maybe still protected),
   // free nodes (unprotected, ready for reuse) and the allocation count.
   Node* retired_ = nullptr;

@@ -9,8 +9,6 @@ namespace {
 // Cell ids start at 1; 0 is reserved for "undeclared".
 std::atomic<std::uint64_t> g_next_cell_id{1};
 
-std::atomic<AccessObserver*> g_observer{nullptr};
-
 // Active CellIdArena range of this thread; next == end means none.
 thread_local std::uint64_t t_arena_next = 0;
 thread_local std::uint64_t t_arena_end = 0;
@@ -36,11 +34,7 @@ CellIdArena::~CellIdArena() {
 }
 
 void set_access_observer(AccessObserver* observer) {
-  g_observer.store(observer, std::memory_order_release);
-}
-
-AccessObserver* access_observer() {
-  return g_observer.load(std::memory_order_acquire);
+  detail::g_access_observer.store(observer, std::memory_order_release);
 }
 
 }  // namespace compreg::sched

@@ -18,6 +18,7 @@
 // Discipline::kMrmw; the analyzer tracks but does not flag them.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 
 namespace compreg::sched {
@@ -121,11 +122,20 @@ class AccessObserver {
                          std::uint64_t sched_pos) = 0;
 };
 
+namespace detail {
+// The process-global observer slot behind set_access_observer().
+inline std::atomic<AccessObserver*> g_access_observer{nullptr};
+}  // namespace detail
+
 // Install/read the process-global observer. Installation must happen
 // while no instrumented code is running (between executions); the
 // pointer itself is read with acquire ordering from every point().
 void set_access_observer(AccessObserver* observer);
-AccessObserver* access_observer();
+inline AccessObserver* access_observer() {
+  // acquire: pairs with set_access_observer's release store, so a
+  // thread that sees the observer also sees it fully constructed.
+  return detail::g_access_observer.load(std::memory_order_acquire);
+}
 
 // RAII installation for the duration of one checked execution.
 class ScopedAccessObserver {

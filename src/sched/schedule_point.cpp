@@ -6,11 +6,6 @@
 
 namespace compreg::sched {
 
-ThreadContext& thread_context() {
-  thread_local ThreadContext ctx;
-  return ctx;
-}
-
 void point() {
   ThreadContext& ctx = thread_context();
   if (ctx.scheduler != nullptr) {
@@ -24,7 +19,7 @@ void point() {
   }
 }
 
-void point(const Access& access) {
+void detail::point_slow(const Access& access) {
   point();
   observe(access);
 }

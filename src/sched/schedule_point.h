@@ -35,7 +35,17 @@ struct ThreadContext {
   Rng stress_rng{0};
 };
 
-ThreadContext& thread_context();
+namespace detail {
+// constinit: constant-initialized with a trivial destructor, so reaching
+// it is one TLS-relative access with no init guard.
+inline thread_local constinit ThreadContext t_context;
+
+// point(access) past its native fast path: unchanged scheduling,
+// stress and observer behavior.
+void point_slow(const Access& access);
+}  // namespace detail
+
+inline ThreadContext& thread_context() { return detail::t_context; }
 
 // Called before every shared-register access.
 void point();
@@ -45,7 +55,21 @@ void point();
 // the calling process holds the turn — i.e. immediately before the
 // access takes effect. An access whose process crashes at this point
 // (ProcessParked) is never reported: it never executed.
-void point(const Access& access);
+//
+// On a native thread with no stress mode and no observer installed the
+// point has nothing to do: the inline check below returns after one
+// look at this thread's context and one load of the observer slot.
+// always_inline: left to itself, GCC -O3 keeps an out-of-line copy for
+// the large recursive Read bodies, so every access paid a call and
+// built its descriptor on the stack.
+[[gnu::always_inline]] inline void point(const Access& access) {
+  const ThreadContext& ctx = thread_context();
+  if (ctx.scheduler == nullptr && ctx.stress_yield_permille == 0 &&
+      access_observer() == nullptr) [[likely]] {
+    return;
+  }
+  detail::point_slow(access);
+}
 
 // Report an access to the observer WITHOUT taking a schedule point.
 // For sub-model-granularity registers (SimpsonRegister) whose

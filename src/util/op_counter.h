@@ -25,9 +25,15 @@ struct OpCounters {
   }
 };
 
+namespace detail {
+// constinit: constant-initialized with a trivial destructor, so a
+// register's bump is one TLS-relative increment with no init guard.
+inline thread_local constinit OpCounters t_op_counters;
+}  // namespace detail
+
 // The calling thread's counters. Registers increment these on every
 // shared read/write; benchmarks snapshot before/after an operation.
-OpCounters& op_counters();
+inline OpCounters& op_counters() { return detail::t_op_counters; }
 
 // RAII window: records the counter state at construction; delta() gives
 // the operations performed by this thread since then.

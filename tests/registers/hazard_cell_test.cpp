@@ -108,22 +108,54 @@ TEST(HazardCellTest, AtomicityUnderStress) {
 }
 
 // Reclamation boundedness: after many writes with idle readers, the
-// cell must not accumulate retired nodes (indirectly: no OOM/leak under
-// ASan-less run; here we just hammer it).
+// cell holds only the current node and the one being recycled.
 TEST(HazardCellTest, ManyWritesWithIdleReaders) {
   HazardCell<std::vector<int>> cell(4, std::vector<int>(100, 7));
   for (int i = 0; i < 100000; ++i) {
     cell.write(std::vector<int>(100, i));
   }
+  EXPECT_EQ(cell.node_count(), 2u);
   const std::vector<int> v = cell.read(0);
   EXPECT_EQ(v[0], 99999);
+  EXPECT_EQ(cell.node_count(), 2u);
+}
+
+// Sticky pins, deterministically: a read leaves its node pinned, so the
+// writer never recycles it however many writes follow; a repeat read
+// with no write in between lands on the same node; read_unpin releases
+// the pin and the writer then reuses the node.
+TEST(HazardCellTest, KeepReadPinsNodeUntilUnpinningRead) {
+  using Vec = std::vector<int>;
+  HazardCell<Vec> cell(1, Vec(16, 0));
+  auto address = [](const Vec& v) { return &v; };
+  const Vec* pinned = cell.read(0, address);
+  EXPECT_EQ(cell.read(0, address), pinned) << "repeat read moved nodes";
+  for (int i = 1; i <= 100; ++i) cell.write(Vec(16, i));
+  // Reading *pinned outside a read is legal only in a single-threaded
+  // test: the pin is what keeps the writer off it.
+  EXPECT_EQ(*pinned, Vec(16, 0)) << "pinned node recycled";
+  EXPECT_EQ(cell.node_count(), 3u);
+
+  const Vec* current = cell.read(0, address);
+  EXPECT_NE(current, pinned);
+  EXPECT_EQ(*current, Vec(16, 100));
+  EXPECT_EQ(cell.read_unpin(0, address), current);
+  // Unpinned: the next write retires `current` and frees both it and
+  // the old pin; the one after that takes a free node, and the free
+  // list is LIFO, so the old pin is rewritten.
+  cell.write(Vec(16, 101));
+  cell.write(Vec(16, 102));
+  EXPECT_EQ(*pinned, Vec(16, 102)) << "unpinned node never recycled";
+  EXPECT_EQ(cell.node_count(), 3u);
+  EXPECT_EQ(cell.read(0), Vec(16, 102));
 }
 
 // Node recycling under concurrency: the writer copy-assigns each new
 // vector (all words equal, length tied to the word) into a recycled
-// node while three readers read it both ways. A node recycled under a
-// reader would show up as a mixed, mis-sized, changing or backwards
-// value.
+// node while three readers read it every way: read(j), a keep-read
+// read(j, f) and an unpinning read_unpin(j, f), so pins are both kept
+// across reads and dropped. A node recycled under a reader would show
+// up as a mixed, mis-sized, changing or backwards value.
 TEST(HazardCellTest, RecycledVectorsNeverTornOrStale) {
   constexpr int kReaders = 3;
   constexpr std::uint64_t kWrites = 50000;
@@ -152,23 +184,26 @@ TEST(HazardCellTest, RecycledVectorsNeverTornOrStale) {
       std::uint64_t last = 0;
       for (std::uint64_t n = 0; !stop.load(); ++n) {
         std::uint64_t seen;
-        if (n % 2 == 0) {
+        if (n % 3 == 0) {
           const std::vector<std::uint64_t> v = cell.read(j);
           ASSERT_TRUE(intact(v)) << "read(j) saw a torn vector";
           seen = v[0];
         } else {
           // The visitor re-checks its node a few times to hold the
           // protection long enough for a wrong recycle to land.
-          const auto [ok, first] = cell.read(
-              j, [&](const std::vector<std::uint64_t>& v) {
-                const std::uint64_t w = v[0];
-                bool same = true;
-                for (int k = 0; k < 4; ++k) {
-                  same = same && intact(v) && v[0] == w;
-                }
-                return std::pair<bool, std::uint64_t>{same, w};
-              });
-          ASSERT_TRUE(ok) << "read(j, f) saw a torn vector";
+          auto check = [&](const std::vector<std::uint64_t>& v) {
+            const std::uint64_t w = v[0];
+            bool same = true;
+            for (int k = 0; k < 4; ++k) {
+              same = same && intact(v) && v[0] == w;
+            }
+            return std::pair<bool, std::uint64_t>{same, w};
+          };
+          const bool unpin = n % 3 == 2;
+          const auto [ok, first] =
+              unpin ? cell.read_unpin(j, check) : cell.read(j, check);
+          ASSERT_TRUE(ok) << (unpin ? "read_unpin(j, f)" : "read(j, f)")
+                          << " saw a torn vector";
           seen = first;
         }
         ASSERT_GE(seen, last) << "reader " << j << " went backwards";
@@ -197,7 +232,7 @@ TEST(HazardCellTest, PoolNeverExceedsReadersPlusTwo) {
   // Reader j holds the node current when it entered, then the writer
   // moves on; the visitors nest so all three holds overlap. (A visitor
   // that writes is legal only in a test: the cell runs `f` inside the
-  // read, between the hazard publish and clear.)
+  // read, while the reader's hazard slot pins the node.)
   std::function<void(int)> hold = [&](int j) {
     cell.read(j, [&](const std::vector<int>& held) {
       const std::vector<int> copy = held;
