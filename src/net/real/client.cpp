@@ -1,55 +1,43 @@
 #include "net/real/client.h"
 
-#include <algorithm>
-
-#include "util/assert.h"
-
 namespace compreg::net::real {
 
 RealAbdClient::RealAbdClient(Transport& net, const RealClientConfig& cfg,
                              std::chrono::steady_clock::time_point epoch)
-    : net_(net), cfg_(cfg), epoch_(epoch), jitter_(cfg.jitter_seed) {
-  COMPREG_CHECK(cfg.f >= 1, "need f >= 1 (2f+1 replicas)");
-  jitter_.reseed(cfg.jitter_seed ^
-                 (static_cast<std::uint64_t>(net.self()) * 0x9e3779b9ull));
-}
+    : net_(net),
+      cfg_(cfg),
+      epoch_(epoch),
+      jitter_(cfg.jitter_seed ^
+              (static_cast<std::uint64_t>(net.self()) * 0x9e3779b9ull)),
+      phase_(cfg.f) {}
 
-bool RealAbdClient::quorum_phase(bool store, std::uint64_t ts,
-                                 std::uint64_t val, std::vector<Reply>& out) {
-  out.clear();
-  const std::uint64_t op = ++op_seq_;
-  const int n = cfg_.replicas();
-  const MsgType req = store ? MsgType::kStore : MsgType::kQuery;
-  const MsgType want = store ? MsgType::kStoreAck : MsgType::kQueryReply;
+bool RealAbdClient::quorum_phase(MsgType req, std::uint64_t ts,
+                                 std::uint64_t val) {
+  const std::uint64_t op = phase_.begin();
+  const MsgType want =
+      req == MsgType::kStore ? MsgType::kStoreAck : MsgType::kQueryReply;
   const auto self = static_cast<std::uint32_t>(net_.self());
 
   const auto drain_until = [&](const Deadline& deadline) {
-    while (static_cast<int>(out.size()) < cfg_.quorum()) {
+    while (!phase_.quorum()) {
       std::optional<Delivery> d = net_.poll(deadline);
       if (!d) return false;
       const WireMsg& m = d->msg;
-      if (m.type != want || m.op != op) continue;  // stale or stray
-      const int replica = d->src;
-      if (replica < 0 || replica >= n) continue;
-      const bool seen =
-          std::any_of(out.begin(), out.end(), [&](const Reply& have) {
-            return have.replica == replica;
-          });
-      if (m.type == MsgType::kStoreAck && ack_hook_) {
+      if (m.type != want) continue;  // stray
+      if (phase_.offer(d->src, m.op, m.ts, m.val) &&
+          m.type == MsgType::kStoreAck && ack_hook_) {
         const auto t = std::chrono::steady_clock::now() - epoch_;
-        ack_hook_(replica, m.ts,
+        ack_hook_(d->src, m.ts,
                   std::chrono::duration_cast<std::chrono::nanoseconds>(t)
                       .count());
       }
-      if (seen) continue;
-      out.push_back(Reply{replica, m.ts, m.val});
     }
     return true;
   };
 
   for (unsigned attempt = 0; attempt < cfg_.max_attempts; ++attempt) {
     if (attempt > 0) ++stats_.retries;
-    for (int r = 0; r < n; ++r) {
+    for (int r = 0; r < phase_.replicas(); ++r) {
       net_.send(r, WireMsg{req, self, op, ts, val});
     }
     if (drain_until(Deadline::after(cfg_.attempt_timeout))) return true;
@@ -69,34 +57,23 @@ bool RealAbdClient::quorum_phase(bool store, std::uint64_t ts,
 
 bool RealAbdClient::try_write(std::uint64_t ts, std::uint64_t val) {
   ++stats_.writes;
-  std::vector<Reply> acks;
-  return quorum_phase(/*store=*/true, ts, val, acks);
+  return quorum_phase(MsgType::kStore, ts, val);
 }
 
 RealReadResult RealAbdClient::try_read() {
   ++stats_.reads;
-  std::vector<Reply> replies;
-  if (!quorum_phase(/*store=*/false, 0, 0, replies)) return {};
-  const Reply* best = &replies.front();
-  bool uniform = true;
-  for (const Reply& reply : replies) {
-    if (reply.ts != best->ts) uniform = false;
-    if (reply.ts > best->ts) best = &reply;
-  }
-  const std::uint64_t ts = best->ts;
-  const std::uint64_t val = best->val;
-  if (cfg_.writeback_skip_uniform && uniform) {
+  if (!quorum_phase(MsgType::kQuery, 0, 0)) return {};
+  const ReadChoice<std::uint64_t> choice = phase_.read_choice();
+  if (!choice.write_back) {
     ++stats_.writeback_skips;
-    return RealReadResult{true, ts, val};
-  }
-  std::vector<Reply> acks;
-  if (!quorum_phase(/*store=*/true, ts, val, acks)) {
+  } else if (quorum_phase(MsgType::kStore, choice.ts, choice.val)) {
+    ++stats_.writebacks;
+  } else {
     // The value is not yet known to rest on a majority; returning it
     // could show a later reader an older value (new-old inversion).
     return {};
   }
-  ++stats_.writebacks;
-  return RealReadResult{true, ts, val};
+  return RealReadResult{true, choice.ts, choice.val};
 }
 
 }  // namespace compreg::net::real

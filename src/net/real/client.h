@@ -1,25 +1,20 @@
-// Real-transport ABD client: the client half of the protocol in
-// net/replicated_register.h over a Transport, with wall-clock deadlines
-// in place of poll-count budgets.
+// Socket ABD client: the client half of the protocol in net/abd_core.h
+// over a Transport, with wall-clock deadlines in place of poll-count
+// budgets.
 //
-// Each quorum phase broadcasts a request to all 2f+1 replicas and
-// collects distinct-replica replies until f+1 have answered or the
-// attempt deadline passes; failed attempts re-broadcast after a bounded
-// exponential backoff window (net/backoff.h — the exact arithmetic the
-// sim client uses, with milliseconds standing in for polls), and the
-// phase degrades to an explicit Unavailable once the attempt budget is
-// spent. The operation id stays fixed across attempts of one logical
-// phase, so straggler replies to an earlier broadcast still count —
-// duplicates are deduped per replica, and the backoff window keeps
-// polling so a late quorum short-circuits the wait.
-//
-// Reads are ABD two-phase: query a quorum, adopt the maximum timestamp,
-// and write that (ts, value) back to a quorum before returning — unless
-// the query replies were uniform at the maximum, in which case the
-// write-back is provably a no-op and is skipped (same rule, and same
-// config knob, as the sim client). A read whose write-back goes
-// Unavailable returns Unavailable: handing the value out without
-// majority cover could expose a new-old inversion to a later reader.
+// The core's QuorumCollector decides which replies count and the read
+// rule decides what a read returns and whether it writes back. This
+// file owns the timing. Each attempt of a quorum phase broadcasts to
+// all 2f+1 replicas and waits for a quorum until the attempt deadline
+// passes; failed attempts re-broadcast after a bounded exponential
+// backoff window (net/backoff.h, in milliseconds), and the phase
+// degrades to an explicit Unavailable once the attempt budget is spent.
+// The op id stays fixed across the attempts of one phase, so straggler
+// replies to an earlier broadcast still count, and the backoff window
+// keeps polling so a late quorum short-circuits the wait. A read whose
+// write-back goes Unavailable returns Unavailable: handing the value
+// out without majority cover could expose a new-old inversion to a
+// later reader.
 //
 // Writes are single-writer: the caller owns the timestamp sequence
 // (next_write_ts()); an Unavailable write may still take effect later
@@ -34,9 +29,8 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <vector>
 
+#include "net/abd_core.h"
 #include "net/backoff.h"
 #include "net/real/transport.h"
 #include "util/rng.h"
@@ -49,11 +43,7 @@ struct RealClientConfig {
   unsigned max_attempts = 8;     // per quorum phase (first try included)
   unsigned backoff_base_ms = 2;  // doubles per failed attempt
   unsigned backoff_cap_ms = 64;
-  bool writeback_skip_uniform = true;
   std::uint64_t jitter_seed = 0x9e7c0ffeeull;
-
-  int replicas() const { return 2 * f + 1; }
-  int quorum() const { return f + 1; }
 };
 
 struct RealClientStats {
@@ -99,23 +89,15 @@ class RealAbdClient {
   const RealClientStats& stats() const { return stats_; }
 
  private:
-  struct Reply {
-    int replica = -1;
-    std::uint64_t ts = 0;
-    std::uint64_t val = 0;
-  };
-
-  // Broadcast-and-collect for one phase. `store` selects STORE/ack
-  // semantics (vs QUERY/reply); replies land in `out` (one per distinct
-  // replica). Returns false on Unavailable.
-  bool quorum_phase(bool store, std::uint64_t ts, std::uint64_t val,
-                    std::vector<Reply>& out);
+  // Broadcasts `req` (kStore or kQuery) and collects a quorum of its
+  // replies into phase_. Returns false on Unavailable.
+  bool quorum_phase(MsgType req, std::uint64_t ts, std::uint64_t val);
 
   Transport& net_;
   RealClientConfig cfg_;
   std::chrono::steady_clock::time_point epoch_;
   Rng jitter_;
-  std::uint64_t op_seq_ = 0;
+  QuorumCollector<std::uint64_t> phase_;
   std::uint64_t write_ts_ = 0;
   RealClientStats stats_;
   AckHook ack_hook_;

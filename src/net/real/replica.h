@@ -1,28 +1,16 @@
-// One real ABD replica: a process-level event loop over the real
-// transport, obeying the crash-recovery durability discipline.
+// One socket ABD replica: a process-level event loop over the real
+// transport, driving the replica half of net/abd_core.h.
 //
-// This is the server half of the protocol in
-// net/replicated_register.h, re-expressed over bytes and real time:
-//
-//   STORE(ts, val)  adopt-if-newer, persist to the replica's
-//                   FileDurable BEFORE the ack leaves (the rule a
-//                   kill-9 cannot be allowed to break), ack with the
-//                   post-adopt timestamp.
-//   QUERY           reply with the current (ts, val).
-//   SYNC_REQ/REPLY  rejoin catch-up: a restarted replica reloads its
-//                   durable record, then resynchronizes from a read
-//                   quorum — itself plus f *distinct* peers, which
-//                   intersects every completed write's ack quorum —
-//                   and only then serves. Mid-catch-up it stays silent
-//                   to all other traffic; clients absorb the silence
-//                   as transient loss.
-//
-// Fresh boot vs restart is decided by FileDurable::existed(): a replica
-// that never persisted anything never acknowledged anything, so a blank
-// immediate start is safe; a present durable file forces the
-// conservative reload + catch-up path. Catch-up requests are
-// re-broadcast on a deadline until a quorum answers — peers may
-// themselves still be starting.
+// The core's AbdReplica makes every protocol decision: adopt-if-newer,
+// persist-before-ack, the serving gate and the catch-up quorum. This
+// file owns the process around it. The replica's stable storage is a
+// FileDurable, which a kill-9 cannot tear. A fresh boot and a restart
+// are told apart by FileDurable::existed(): a replica that never
+// persisted anything never acknowledged anything, so it starts blank
+// and serves at once; a present durable file makes it rejoin, tagged
+// with this process's incarnation. Catch-up requests are re-broadcast
+// every `sync_retry` until a quorum answers, since peers may themselves
+// still be starting.
 //
 // The replica appends machine-parseable lines ("start ...",
 // "serving ...") to <data_dir>/audit.log; the harness's durability

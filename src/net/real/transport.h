@@ -5,12 +5,14 @@
 // whatever arrived — and that pair is the seam: SimNet provides it over
 // a deterministic in-process event queue with labeled schedule points,
 // and this interface provides it over real sockets with monotonic-clock
-// deadlines. Everything above the seam (quorum phases, retry budgets,
-// Unavailable degradation, the rejoin catch-up protocol) is the same
-// algorithm on either side; everything below it differs by design —
-// the simulator's schedule points and DPOR certification stop at this
-// line (see docs/fault_model.md, "Real transport"), and the real side
-// answers with actual processes, kernels, and clocks instead.
+// deadlines. Above the seam, both sides drive the same protocol code:
+// replica handlers, quorum collection, the read rule and the rejoin
+// catch-up are net/abd_core.h, and the retry window is net/backoff.h.
+// Each side keeps only its own retry loop, counted in polls or in
+// milliseconds. Below the seam everything differs by design: the
+// simulator's schedule points stop at this line (see
+// docs/fault_model.md, "Real transport"), and the real side answers
+// with actual processes, kernels, and clocks instead.
 //
 // SocketTransport is the concrete backend: nonblocking stream sockets
 // (Unix-domain by default, TCP loopback optionally), one epoll set per

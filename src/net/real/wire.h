@@ -35,7 +35,7 @@ namespace compreg::net::real {
 
 enum class MsgType : std::uint8_t {
   kStore = 1,      // STORE(ts, val): adopt-if-newer, persist, then ack
-  kStoreAck = 2,   // ts = the replica's post-adopt durable timestamp
+  kStoreAck = 2,   // ts = the STORE's ts, now covered by stable storage
   kQuery = 3,      // QUERY: reply with current (ts, val)
   kQueryReply = 4,
   kSyncReq = 5,    // rejoin catch-up: op = incarnation tag

@@ -1,58 +1,42 @@
-// ReplicatedRegister: an ABD-style quorum-replicated MRSW atomic
-// register over SimNet — the networked substrate for the paper's
-// construction.
+// ReplicatedRegister: the ABD register of net/abd_core.h driven over
+// SimNet — the networked substrate for the paper's construction.
 //
-// The protocol is the single-writer half of Attiya–Bar-Noy–Dolev,
-// following the message-passing register constructions surveyed by
-// Imbs–Mostéfaoui–Perrin–Raynal: 2f+1 replica nodes each hold a
-// (timestamp, value) pair; the writer tags each value with a local
-// monotonically increasing timestamp and broadcasts it, completing once
-// a majority (f+1) acknowledges; a reader queries all replicas, waits
-// for a majority of (ts, value) replies, adopts the maximum timestamp,
-// and — unless every reply already agreed on that timestamp — performs
-// a write-back phase to a majority before returning, which is what
-// makes concurrent readers atomic rather than merely regular. Replica
-// handlers are idempotent (adopt iff ts is newer), so duplicated or
-// reordered messages are harmless.
-//
-// Replicas live in the crash-*recovery* model (Imbs–Mostéfaoui–
-// Perrin–Raynal): a NetFaultPlan `recover` cycle takes a replica down
-// and brings it back, and atomicity survives because the replica obeys
-// the durability discipline — every acknowledged (timestamp, value) is
-// persisted to its DurableRecord (net/durable_state.h) BEFORE the ack
-// leaves, and a rejoining replica reloads that stable state, catches
-// up from a read quorum (self + f distinct peers, which intersects
-// every completed write's ack quorum), and only then serves again.
+// The protocol's decisions (replica handlers, quorum collection, the
+// read rule, the bounds on f) live in net/abd_core.h. This file is its
+// simulated transport: requests and replies are SimNet delivery
+// closures, so one poll is one atomic network step. A NetFaultPlan
+// `recover` cycle calls on_recover, which reloads the replica's
+// DurableRecord (net/durable_state.h) and sends the catch-up round.
+// Every ack and reply passes the DurableMedium auditor, and
 // NetConfig::amnesia seeds the two discipline violations
 // (ack-before-persist, blank rejoin) for certification runs.
 //
-// The client-side robustness layer makes every phase bounded: each
-// attempt broadcasts to all replicas and polls the network for at most
-// `timeout_polls` steps; failed attempts re-send after a bounded
-// exponential backoff (base << attempt, capped, plus deterministic
-// jitter from util/rng) up to `max_attempts` times, after which the
-// operation degrades to an explicit Unavailable outcome — never a hang,
-// and never a non-linearizable read (a read only returns after its
-// chosen value provably rests on a majority). try_read/try_write
-// surface that outcome as a value; read/write (the MrswCell interface,
-// which has no failure channel) throw UnavailableError, which derives
-// from sched::ProcessParked so the crash-aware workload drivers and
-// checkers treat a quorum-starved process exactly like a crash-stopped
-// one: its interrupted operation is recorded pending — it may or may
-// not take effect, but cannot un-happen.
+// Timing is counted in network polls, so every bound is deterministic.
+// Each attempt of a quorum phase broadcasts to all replicas and polls
+// for at most `timeout_polls` steps; failed attempts re-send after a
+// bounded exponential backoff (net/backoff.h) up to `max_attempts`
+// times, after which the operation degrades to an explicit Unavailable
+// outcome — never a hang, and never a non-linearizable read (a read
+// only returns after its chosen value provably rests on a majority).
+// try_read/try_write surface that outcome as a value; read/write (the
+// MrswCell interface, which has no failure channel) throw
+// UnavailableError, which derives from sched::ProcessParked so the
+// crash-aware workloads and checkers treat a quorum-starved
+// process exactly like a crash-stopped one: its interrupted operation
+// is recorded pending — it may or may not take effect, but cannot
+// un-happen.
 //
 // SIMULATOR-ONLY for concurrent use (the replica state and SimNet
 // queue are plain fields serialized by the lockstep); single-threaded
 // use works anywhere, which the unit tests rely on.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <vector>
 
+#include "net/abd_core.h"
 #include "net/backoff.h"
 #include "net/durable_state.h"
 #include "net/sim_net.h"
@@ -96,16 +80,11 @@ struct NetConfig {
   unsigned max_attempts = 5;    // per quorum phase (first try included)
   unsigned backoff_base = 2;    // polls; doubles per failed attempt
   unsigned backoff_cap = 32;    // upper bound on one backoff window
-  bool writeback_skip_uniform = true;  // skip phase 2 on agreeing quorum
   std::uint64_t jitter_seed = 0x9e7c0ffeeull;
   Amnesia amnesia = Amnesia::kNone;  // certification-only seeded fault
 
   int replicas() const { return 2 * f + 1; }
-  int quorum() const { return f + 1; }
 };
-
-// The bounded-exponential-backoff window arithmetic is shared with the
-// real transport's retry layer: see net/backoff.h (backoff_window).
 
 template <typename T>
 class ReplicatedRegister {
@@ -117,25 +96,22 @@ class ReplicatedRegister {
                      std::uint64_t payload_bits = sizeof(T) * 8)
       : net_(net),
         cfg_(cfg),
-        access_(label, sched::Discipline::kSwmr, readers) {
-    COMPREG_CHECK(cfg.f >= 1, "need f >= 1 (2f+1 replicas)");
-    COMPREG_CHECK(cfg.f <= 31, "catch-up reply mask holds 64 replicas");
+        access_(label, sched::Discipline::kSwmr, readers),
+        initial_(std::move(initial)) {
     COMPREG_CHECK(readers >= 1, "need at least one reader slot");
     COMPREG_CHECK(net.replicas() == cfg.replicas(),
                   "SimNet has %d replica nodes, NetConfig wants %d",
                   net.replicas(), cfg.replicas());
-    replicas_.assign(static_cast<std::size_t>(cfg.replicas()),
-                     Replica{0, initial});
-    durable_.reserve(static_cast<std::size_t>(cfg.replicas()));
     for (int r = 0; r < cfg.replicas(); ++r) {
+      replicas_.emplace_back(r, cfg.f, initial_);
       durable_.emplace_back(net.durable(), access_.cell(), label, r,
-                            initial);
+                            initial_);
     }
-    initial_ = std::move(initial);
     hook_token_ =
         net_.add_recover_hook([this](int node) { on_recover(node); });
-    writer_ = make_endpoint();
-    for (int j = 0; j < readers; ++j) readers_.push_back(make_endpoint());
+    for (int j = 0; j <= readers; ++j) {
+      endpoints_.emplace_back(net_.new_client_node(), cfg_);
+    }
     // One logical MRSW register; physically 2f+1 replicated copies.
     account_register(label, payload_bits, readers,
                      static_cast<std::uint64_t>(cfg.replicas()));
@@ -166,57 +142,33 @@ class ReplicatedRegister {
     sched::observe(access_.write());
     ++op_counters().reg_writes;
     ++write_ts_;
-    std::vector<Reply> acks;
-    const std::uint64_t ts = write_ts_;
-    return quorum_phase(
-        writer_,
-        [&](int r, std::uint64_t op) { send_store(writer_, r, op, ts, value); },
-        acks);
+    return quorum_phase(endpoints_.front(), Stamped<T>{write_ts_, value});
   }
 
   std::optional<T> try_read(int reader_id) {
     COMPREG_DCHECK(reader_id >= 0 &&
-                   reader_id < static_cast<int>(readers_.size()));
+                   reader_id + 1 < static_cast<int>(endpoints_.size()));
     sched::observe(access_.read(reader_id));
     ++op_counters().reg_reads;
-    Endpoint& ep = readers_[static_cast<std::size_t>(reader_id)];
-    std::vector<Reply> replies;
-    if (!quorum_phase(
-            ep, [&](int r, std::uint64_t op) { send_query(ep, r, op); },
-            replies)) {
-      return std::nullopt;
-    }
-    const Reply* best = &replies.front();
-    bool uniform = true;
-    for (const Reply& reply : replies) {
-      if (reply.ts != best->ts) uniform = false;
-      if (reply.ts > best->ts) best = &reply;
-    }
-    const std::uint64_t ts = best->ts;
-    T value = best->val;
-    if (cfg_.writeback_skip_uniform && uniform) {
-      // Every quorum member already agrees on ts, so any later quorum
-      // intersects this one at ts or newer — phase 2 would be a no-op.
+    Endpoint& ep = endpoints_[static_cast<std::size_t>(reader_id) + 1];
+    if (!quorum_phase(ep, std::nullopt)) return std::nullopt;
+    ReadChoice<T> choice = ep.phase.read_choice();
+    if (!choice.write_back) {
       ++net_.stats().client_writeback_skips;
-      return value;
-    }
-    std::vector<Reply> acks;
-    if (!quorum_phase(
-            ep,
-            [&](int r, std::uint64_t op) { send_store(ep, r, op, ts, value); },
-            acks)) {
+    } else if (quorum_phase(ep, choice)) {
+      ++net_.stats().client_writebacks;
+    } else {
       return std::nullopt;
     }
-    ++net_.stats().client_writebacks;
-    return value;
+    return std::move(choice.val);
   }
 
   // Direct replica inspection, for tests and benches.
   std::uint64_t replica_ts(int r) const {
-    return replicas_[static_cast<std::size_t>(r)].ts;
+    return replicas_[static_cast<std::size_t>(r)].ts();
   }
   const T& replica_val(int r) const {
-    return replicas_[static_cast<std::size_t>(r)].val;
+    return replicas_[static_cast<std::size_t>(r)].value();
   }
   // Stable-storage view of one replica (what a crash cannot erase).
   std::uint64_t durable_ts(int r) const {
@@ -227,156 +179,125 @@ class ReplicatedRegister {
   }
   // False while the replica is mid-rejoin (up, but not yet caught up).
   bool replica_serving(int r) const {
-    return replicas_[static_cast<std::size_t>(r)].serving;
+    return replicas_[static_cast<std::size_t>(r)].serving();
   }
   std::uint64_t write_ts() const { return write_ts_; }
 
  private:
-  struct Replica {
-    std::uint64_t ts = 0;
-    T val;
-    // Rejoin protocol state. `serving` drops at the start of a catch-up
-    // round and returns once a read quorum (self + f distinct peers)
-    // has been folded in; a non-serving replica ignores client traffic
-    // (the retry layer absorbs the silence as transient loss).
-    bool serving = true;
-    std::uint64_t sync_op = 0;     // catch-up round tag (incarnation)
-    std::uint64_t sync_mask = 0;   // distinct peers heard this round
-    int sync_replies = 0;
+  // The core's view of one replica's DurableRecord. `record` is null
+  // only for a STORE under the kAckBeforePersist mutant: the persist
+  // the core makes before that ack goes nowhere.
+  struct SimDurable {
+    DurableRecord<T>* record;
+    void persist(std::uint64_t ts, const T& value) {
+      if (record != nullptr) record->persist(ts, value);
+    }
+    std::uint64_t ts() const { return record->ts(); }
+    const T& value() const { return record->value(); }
   };
-  struct Reply {
-    int replica = -1;
-    std::uint64_t op = 0;
-    std::uint64_t ts = 0;
-    T val;
-  };
+  using Replica = AbdReplica<T, SimDurable>;
+
   // One client role (the writer, or one reader slot): a network node id
-  // plus its in-flight-operation bookkeeping. Endpoints are stable in
-  // memory (deque) because delivery closures capture references.
+  // plus its phase collector. Endpoints are stable in memory (deque)
+  // because delivery closures capture references.
   struct Endpoint {
-    int node = -1;
-    std::uint64_t op_seq = 0;
-    std::vector<Reply> inbox;
-    Rng jitter{0};
+    Endpoint(int id, const NetConfig& cfg)
+        : node(id),
+          phase(cfg.f),
+          jitter(cfg.jitter_seed ^
+                 (static_cast<std::uint64_t>(id) * 0x9e3779b9ull)) {}
+
+    int node;
+    QuorumCollector<T> phase;
+    Rng jitter;
   };
 
-  Endpoint make_endpoint() {
-    Endpoint ep;
-    ep.node = net_.new_client_node();
-    ep.jitter.reseed(cfg_.jitter_seed ^
-                     (static_cast<std::uint64_t>(ep.node) * 0x9e3779b9ull));
-    return ep;
-  }
-
-  // STORE(ts, value): adopt-if-newer, persist, then acknowledge the
-  // requested timestamp. Serves both writer broadcasts and reader
-  // write-backs. The durability rule — stable storage is written
-  // BEFORE the ack leaves — is what makes a later crash–recover cycle
-  // unable to forget an acknowledged write; the kAckBeforePersist
-  // mutant deletes exactly that line. A replica mid-rejoin stays
-  // silent (the client retry layer reads that as transient loss).
-  void send_store(Endpoint& ep, int r, std::uint64_t op, std::uint64_t ts,
-                  const T& value) {
-    net_.send(ep.node, r, [this, &ep, r, op, ts, value] {
-      Replica& rep = replicas_[static_cast<std::size_t>(r)];
-      if (!rep.serving) return;
-      if (ts > rep.ts) {
-        rep.ts = ts;
-        rep.val = value;
-      }
-      if (cfg_.amnesia != Amnesia::kAckBeforePersist) {
-        durable_[static_cast<std::size_t>(r)].persist(rep.ts, rep.val);
-      }
-      net_.durable().audit_ack(access_.cell(), access_.decl().owner, r, ts);
-      net_.send(r, ep.node,
-                [&ep, r, op, ts] { ep.inbox.push_back(Reply{r, op, ts, T{}}); });
-    });
-  }
-
-  // QUERY: reply with the replica's current (ts, value).
-  void send_query(Endpoint& ep, int r, std::uint64_t op) {
-    net_.send(ep.node, r, [this, &ep, r, op] {
-      const Replica& rep = replicas_[static_cast<std::size_t>(r)];
-      if (!rep.serving) return;
-      const std::uint64_t ts = rep.ts;
-      const T val = rep.val;
-      net_.durable().audit_reply(access_.cell(), access_.decl().owner, r,
-                                 ts);
-      net_.send(r, ep.node, [&ep, r, op, ts, val] {
-        ep.inbox.push_back(Reply{r, op, ts, val});
+  // STORE, from the writer or a reader's write-back. The auditor checks
+  // each ack against the replica's stable storage.
+  void send_store(Endpoint& ep, int r, std::uint64_t op,
+                  const Stamped<T>& req) {
+    net_.send(ep.node, r, [this, &ep, r, op, req] {
+      SimDurable dur{cfg_.amnesia == Amnesia::kAckBeforePersist
+                         ? nullptr
+                         : &durable_[static_cast<std::size_t>(r)]};
+      const std::optional<std::uint64_t> acked =
+          replicas_[static_cast<std::size_t>(r)].on_store(req.ts, req.val,
+                                                          dur);
+      if (!acked) return;
+      net_.durable().audit_ack(access_.cell(), access_.decl().owner, r,
+                               *acked);
+      net_.send(r, ep.node, [&ep, r, op, ts = *acked] {
+        ep.phase.offer(r, op, ts, T{});
       });
     });
+  }
+
+  // QUERY or SYNC_REQ at replica r: if it serves, its state is audited
+  // and sent to node `to`, where `deliver` takes it. Returns whether a
+  // reply was sent.
+  template <typename Deliver>
+  bool answer_query(int r, int to, Deliver deliver) {
+    const std::optional<Stamped<T>> state =
+        replicas_[static_cast<std::size_t>(r)].on_query();
+    if (!state) return false;
+    net_.durable().audit_reply(access_.cell(), access_.decl().owner, r,
+                               state->ts);
+    net_.send(r, to, [deliver, reply = *state] { deliver(reply); });
+    return true;
   }
 
   // SimNet rejoin hook: replica `node` just came back from a crash–
-  // downtime cycle. The crash-recovery discipline: (1) reload stable
-  // storage, (2) resynchronize from a read quorum — self plus f
-  // distinct peers, which intersects every completed write's ack
-  // quorum — and only then (3) serve again. The kBlankRejoin mutant
-  // skips all three and serves a blank slate immediately.
+  // downtime cycle. It reloads its DurableRecord and asks every peer
+  // for its state; the replies ride the network like any other message.
+  // The kBlankRejoin mutant instead serves a blank slate at once.
   void on_recover(int node) {
     Replica& rep = replicas_[static_cast<std::size_t>(node)];
-    ++rep.sync_op;  // invalidates catch-up replies to older incarnations
     if (cfg_.amnesia == Amnesia::kBlankRejoin) {
-      rep.ts = 0;
-      rep.val = initial_;
-      rep.serving = true;
+      rep = Replica(node, cfg_.f, initial_);
       return;
     }
-    DurableRecord<T>& dur = durable_[static_cast<std::size_t>(node)];
-    dur.reload();
-    rep.ts = dur.ts();
-    rep.val = dur.value();
-    rep.serving = false;
-    rep.sync_mask = 0;
-    rep.sync_replies = 0;
-    const std::uint64_t op = rep.sync_op;
-    const int n = cfg_.replicas();
-    for (int r = 0; r < n; ++r) {
+    DurableRecord<T>& record = durable_[static_cast<std::size_t>(node)];
+    record.reload();
+    const std::uint64_t tag = rep.tag() + 1;
+    rep.rejoin(tag, SimDurable{&record});
+    for (int r = 0; r < cfg_.replicas(); ++r) {
       if (r == node) continue;
       ++net_.stats().catchup_msgs;
-      net_.send(node, r, [this, node, r, op] {
-        const Replica& peer = replicas_[static_cast<std::size_t>(r)];
-        if (!peer.serving) return;
-        const std::uint64_t ts = peer.ts;
-        const T val = peer.val;
-        net_.durable().audit_reply(access_.cell(), access_.decl().owner, r,
-                                   ts);
-        ++net_.stats().catchup_msgs;
-        net_.send(r, node, [this, node, r, op, ts, val] {
-          Replica& self = replicas_[static_cast<std::size_t>(node)];
-          if (self.serving || self.sync_op != op) return;
-          if (ts > self.ts) {
-            self.ts = ts;
-            self.val = val;
-          }
-          durable_[static_cast<std::size_t>(node)].persist(self.ts,
-                                                           self.val);
-          const std::uint64_t bit = 1ull << static_cast<unsigned>(r);
-          if ((self.sync_mask & bit) != 0) return;  // dup: count peers once
-          self.sync_mask |= bit;
-          if (++self.sync_replies + 1 >= cfg_.quorum()) self.serving = true;
-        });
+      net_.send(node, r, [this, node, r, tag, &record] {
+        const auto fold_in = [this, node, r, tag, &record](
+                                 const Stamped<T>& reply) {
+          SimDurable dur{&record};
+          replicas_[static_cast<std::size_t>(node)].on_sync_reply(
+              r, tag, reply.ts, reply.val, dur);
+        };
+        if (answer_query(r, node, fold_in)) ++net_.stats().catchup_msgs;
       });
     }
   }
 
-  // Collects >= quorum distinct-replica replies for a fresh operation
-  // sequence number, retrying with bounded exponential backoff. Returns
+  // Collects a quorum for a fresh phase — a STORE of `store`, or a QUERY
+  // without one — retrying with bounded exponential backoff. Returns
   // false (Unavailable) once the budget is spent.
-  bool quorum_phase(Endpoint& ep,
-                    const std::function<void(int, std::uint64_t)>& send_req,
-                    std::vector<Reply>& out) {
+  bool quorum_phase(Endpoint& ep, const std::optional<Stamped<T>>& store) {
     ++net_.stats().client_phases;
-    ep.inbox.clear();  // replies to earlier operations are stale
-    const std::uint64_t op = ++ep.op_seq;
+    const std::uint64_t op = ep.phase.begin();
     const int n = cfg_.replicas();
     for (unsigned attempt = 0; attempt < cfg_.max_attempts; ++attempt) {
       if (attempt > 0) ++net_.stats().client_retries;
-      for (int r = 0; r < n; ++r) send_req(r, op);
+      for (int r = 0; r < n; ++r) {
+        if (store) {
+          send_store(ep, r, op, *store);
+        } else {
+          net_.send(ep.node, r, [this, &ep, r, op] {
+            answer_query(r, ep.node, [&ep, r, op](const Stamped<T>& reply) {
+              ep.phase.offer(r, op, reply.ts, reply.val);
+            });
+          });
+        }
+      }
       for (unsigned i = 0; i < cfg_.timeout_polls; ++i) {
         net_.poll();
-        if (collect(ep, op, out)) return true;
+        if (ep.phase.quorum()) return true;
       }
       if (attempt + 1 == cfg_.max_attempts) break;
       // Bounded exponential backoff with deterministic jitter. Backoff
@@ -386,38 +307,22 @@ class ReplicatedRegister {
       for (std::uint64_t i = 0; i < window; ++i) {
         ++net_.stats().client_backoff_polls;
         net_.poll();
-        if (collect(ep, op, out)) return true;
+        if (ep.phase.quorum()) return true;
       }
     }
     ++net_.stats().client_unavailable;
     return false;
   }
 
-  // First reply per distinct replica for operation `op`; true once a
-  // quorum of replicas has answered.
-  bool collect(const Endpoint& ep, std::uint64_t op,
-               std::vector<Reply>& out) const {
-    out.clear();
-    for (const Reply& reply : ep.inbox) {
-      if (reply.op != op) continue;
-      const bool seen =
-          std::any_of(out.begin(), out.end(), [&](const Reply& have) {
-            return have.replica == reply.replica;
-          });
-      if (!seen) out.push_back(reply);
-    }
-    return static_cast<int>(out.size()) >= cfg_.quorum();
-  }
-
   SimNet& net_;
   NetConfig cfg_;
   sched::AccessLabel access_;  // model-level SWMR identity of this cell
+  T initial_;
   std::vector<Replica> replicas_;          // volatile state (crash-lost)
   std::vector<DurableRecord<T>> durable_;  // stable state (crash-proof)
-  T initial_{};
   std::uint64_t hook_token_ = 0;
-  Endpoint writer_;
-  std::deque<Endpoint> readers_;
+  // The writer, then one endpoint per reader slot.
+  std::deque<Endpoint> endpoints_;
   std::uint64_t write_ts_ = 0;
 };
 

@@ -76,14 +76,22 @@ TEST(ReplicatedRegisterTest, UniformQuorumSkipsWriteBack) {
   EXPECT_EQ(net.stats().client_writebacks, 0u);
 }
 
-TEST(ReplicatedRegisterTest, WriteBackRunsWhenSkipDisabled) {
+TEST(ReplicatedRegisterTest, ReadWritesBackAMinorityWrite) {
+  // Replicas 1 and 2 are cut off while the writer runs, so write(5)
+  // lands on replica 0 alone and degrades to Unavailable. Once the
+  // partition heals, a read's quorum holds ts 1 next to ts 0. That is
+  // not uniform, so the read writes (1, 5) back before returning it.
   NetConfig cfg = config_f(1);
-  cfg.writeback_skip_uniform = false;
-  SimNet net(cfg.replicas(), NetFaultPlan{}, 1);
+  SimNet net(cfg.replicas(), plan_of("partition:0+400@1.2"), 1);
   ReplicatedRegister<std::uint64_t> reg(net, cfg, /*readers=*/1, 0);
-  reg.write(5);
+  EXPECT_FALSE(reg.try_write(5));
+  EXPECT_EQ(reg.replica_ts(0), 1u);
+  EXPECT_EQ(reg.replica_ts(1), 0u);
+  while (net.now() < 400) net.poll();
   EXPECT_EQ(reg.read(0), 5u);
   EXPECT_GE(net.stats().client_writebacks, 1u);
+  EXPECT_EQ(net.stats().client_writeback_skips, 0u);
+  EXPECT_GE(reg.replica_ts(1) + reg.replica_ts(2), 1u);
 }
 
 TEST(ReplicatedRegisterTest, RetriesThroughHeavyLoss) {

@@ -56,10 +56,10 @@ EXEMPT_DIRS = {
     "src/net/real": (
         "real-socket transport: this code runs in separate OS processes "
         "under real kernels and real clocks, below the Transport seam "
-        "where the labeled-schedule-point discipline (and the DPOR "
-        "certification built on it) stops by design; its verification "
-        "story is verify_net_real chaos/kill-9 runs, not schedule-space "
-        "exploration"
+        "where the labeled-schedule-point discipline stops by design; "
+        "the protocol it drives is net/abd_core.h, which DPOR and the "
+        "amnesia mutants cover through the simulator, so only the "
+        "socket transport is left to verify_net_real chaos/kill-9 runs"
     ),
 }
 
