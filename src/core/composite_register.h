@@ -44,8 +44,30 @@
 #include "registers/register_concepts.h"
 #include "registers/word_register.h"
 #include "util/assert.h"
+#include "util/inline_array.h"
 
 namespace compreg::core {
+
+// Y[0]'s record type (Figure 2/3), one flat object: seq and ss keep
+// their elements inline up to a byte budget, so a HazardCell node is one
+// allocation, a record copy is one copy, and the fields every reader
+// touches (item, wc, seq[j]) share the record's first cache line. The
+// budgets hold up to 8 reader slots and six 64-bit components; a larger
+// shape or a larger V spills seq or ss to one heap block. For the base
+// case C == 1, seq and ss stay empty and only item/wc are meaningful.
+template <typename V>
+struct Y0Record {
+  static constexpr std::size_t kSeqBytes =
+      8 * sizeof(std::array<std::uint8_t, 2>);
+  static constexpr std::size_t kSsBytes = 6 * sizeof(Item<std::uint64_t>);
+
+  Item<V> item;
+  std::uint8_t wc = 0;  // mod-3 write counter
+  // seq[j] = {copy 0, copy 1} of reader j's sequence number —
+  // transposed from the paper's seq[0..1][0..R-1] for locality.
+  InlineArray<std::array<std::uint8_t, 2>, kSeqBytes> seq;
+  InlineArray<Item<V>, kSsBytes> ss;  // Writer 0's snapshot, ss[0..C-1]
+};
 
 template <typename V, template <typename> class Cell = registers::HazardCell,
           template <typename> class SmallCell = registers::WordCell>
@@ -62,12 +84,12 @@ class CompositeRegister final : public Snapshot<V> {
     COMPREG_CHECK(components >= 1);
     COMPREG_CHECK(num_readers >= 1);
 
-    Y0 init;
+    // Writer 0's private record starts as Y[0]'s initial value.
+    Y0& init = w0_.rec;
     init.item = Item<V>{initial, 0};
-    init.wc = 0;
     if (c_ > 1) {
-      init.seq.assign(static_cast<std::size_t>(r_), {0, 0});
-      init.ss.assign(static_cast<std::size_t>(c_), Item<V>{initial, 0});
+      init.seq = {static_cast<std::size_t>(r_), {0, 0}};
+      init.ss = {static_cast<std::size_t>(c_), Item<V>{initial, 0}};
       // Z[j] (written by reader j, read by Writer 0), j's buffers and
       // j's statement-8 counters. for_overwrite: every member but the
       // never-read pad has an initializer, so the pad is left unzeroed.
@@ -80,8 +102,7 @@ class CompositeRegister final : public Snapshot<V> {
       base_reads_ = std::make_unique_for_overwrite<BaseReadCount[]>(
           static_cast<std::size_t>(r_));
     }
-    w0_.rec = init;
-    y0_ = std::make_unique<Cell<Y0>>(r_, std::move(init), "Y0", y0_bits());
+    y0_ = std::make_unique<Cell<Y0>>(r_, init, "Y0", y0_bits());
 #ifndef NDEBUG
     writer0_busy_ = std::make_unique<std::atomic<bool>>(false);
     reader_busy_ =
@@ -197,16 +218,7 @@ class CompositeRegister final : public Snapshot<V> {
   }
 
  private:
-  // Y[0]'s record type (Figure 2/3). For the base case C == 1 the seq
-  // and ss vectors stay empty and only item/wc are meaningful.
-  struct Y0 {
-    Item<V> item;
-    // seq[j] = {copy 0, copy 1} of reader j's sequence number —
-    // transposed from the paper's seq[0..1][0..R-1] for locality.
-    std::vector<std::array<std::uint8_t, 2>> seq;
-    std::vector<Item<V>> ss;  // Writer 0's snapshot, ss[0..C-1]
-    std::uint8_t wc = 0;      // mod-3 write counter
-  };
+  using Y0 = Y0Record<V>;
 
   // The part of a Y[0] record statements 3 and 5 use.
   struct ItemWc {

@@ -22,14 +22,19 @@
 // read. read_unpin(j, f) is the same read that clears slot j at the
 // end, so a reader about to go idle pins nothing.
 //
-// Nodes are recycled, not freed: each write scans the hazard slots once
-// and moves every retired node no reader pins to a writer-private free
-// list, and the next write copy-assigns into a node from that list
-// (reusing, e.g., the capacity of the payload's vectors). At most
-// readers+2 nodes ever exist (one current, at most one pinned per
-// reader, one being written), so the writer allocates only until its
-// free list is warm and is wait-free: one hazard scan of bounded length
-// per write.
+// Nodes are recycled, not freed. A write takes a node from its private
+// free list and copy-assigns into it (reusing, e.g., the capacity of the
+// payload's vectors). Only a write that finds the free list empty scans
+// the hazard slots: the scan moves every retired node no slot holds to
+// the free list, and the write allocates only if the scan freed
+// nothing. With idle readers one scan refills the list for the next
+// readers+1 writes, so the writer reads the readers' slot lines once per
+// readers+1 writes instead of once per write (Michael's amortized scan,
+// IEEE TPDS 2004). At most readers+2 nodes ever exist: a scan that frees
+// nothing leaves at most `readers` retired nodes (each held by a slot),
+// plus the current node, plus the one allocated. The writer allocates
+// only until its free list is warm and is wait-free: at most one hazard
+// scan of bounded length per write.
 #pragma once
 
 #include <atomic>
@@ -78,6 +83,11 @@ class HazardCell {
   // readers+2. Writer-side: call from the writer or after it is joined.
   std::uint64_t node_count() const { return nodes_; }
 
+  // Hazard scans so far: one per write that found the free list empty;
+  // with idle readers at most one per readers+1 writes once the pool is
+  // warm. Writer-side: call from the writer or after it is joined.
+  std::uint64_t hazard_scans() const { return scans_; }
+
   // reader_id in [0, readers): each concurrent reader must use a
   // distinct slot (two sequential reads may share one). `f` runs on the
   // node while the hazard slot still protects it and its result is
@@ -104,6 +114,7 @@ class HazardCell {
   void write(const T& value) {
     sched::point(access_.write());
     ++op_counters().reg_writes;
+    if (free_ == nullptr) reclaim();
     Node* node = free_;
     if (node != nullptr) {
       // A free-list node is neither current nor protected by any slot
@@ -116,7 +127,7 @@ class HazardCell {
       free_ = node->next;
       node->value = value;
     } else {
-      // audit: exempt(blocking, allocates only until the free list is warm - at most readers+2 nodes ever exist, then every write recycles one)
+      // audit: exempt(blocking, allocates only when a hazard scan frees nothing - at most readers+2 nodes ever exist, then every write recycles one)
       node = new Node{value};
       ++nodes_;
       COMPREG_DCHECK(nodes_ <= static_cast<std::uint64_t>(readers_) + 2);
@@ -125,7 +136,6 @@ class HazardCell {
     old->next = retired_;
     retired_ = old;
     ++retired_count_;
-    reclaim();
   }
 
  private:
@@ -174,14 +184,18 @@ class HazardCell {
   }
 
   void reclaim() {
-    // Writer-private. Keep the retired nodes some reader protects; move
-    // the rest to the free list. Each slot is read once and marks at
-    // most one node, so at most readers_ nodes stay retired afterwards.
+    // Writer-private, and run by a write only on an empty free list.
+    // Keep the retired nodes some reader protects; move the rest to the
+    // free list. Each slot is read once and marks at most one node, so
+    // at most readers_ nodes stay retired afterwards. Every retired node
+    // left current_ in an earlier write's exchange, so the scan runs
+    // after its retirement, as the hazard argument needs.
     // sched-lint: exempt(reclamation, not communication - see below)
     // The hazard scan's outcome decides which retired nodes are recycled
     // but never any value a process observes: readers publish only to
-    // their own slot, and the caller (write) already announced its
-    // labeled point before the linearizing store.
+    // their own slot, and the caller (write) has already announced its
+    // labeled point.
+    ++scans_;
     for (int j = 0; j < readers_; ++j) {
       const Node* hazard = hazards_[static_cast<std::size_t>(j)].ptr.load(
           std::memory_order_seq_cst);
@@ -214,11 +228,13 @@ class HazardCell {
   // ones below. The pad keeps the two off one cache line.
   char pad_[64];
   // Writer-private: retired nodes (replaced, maybe still protected),
-  // free nodes (unprotected, ready for reuse) and the allocation count.
+  // free nodes (unprotected, ready for reuse), the allocation count and
+  // the scan count.
   Node* retired_ = nullptr;
   std::size_t retired_count_ = 0;
   Node* free_ = nullptr;
   std::uint64_t nodes_ = 0;
+  std::uint64_t scans_ = 0;
 };
 
 }  // namespace compreg::registers

@@ -104,7 +104,8 @@ TYPED_TEST(CompositeSequentialTest, UpdateReturnsMonotoneIds) {
 }
 
 // Parameterized sweep over (C, R): sequential semantics must hold for
-// every configuration.
+// every configuration. C = 8 and C = 10 build Y[0] records whose ss
+// (and, deep in the recursion, seq) spill past the inline budget.
 class CompositeShapeTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -130,8 +131,33 @@ TEST_P(CompositeShapeTest, SequentialReadYourWrites) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, CompositeShapeTest,
-    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6, 8),
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6, 8, 10),
                        ::testing::Values(1, 2, 3, 4)));
+
+// The fields every Y[0] reader touches - item, wc and its own seq[j] -
+// share the record's first 64 bytes for every reader count the inline
+// budget holds, so a reader that finds a changed node misses on one
+// line, not a chain of heap blocks.
+TEST(Y0RecordLayoutTest, ReaderFieldsShareTheFirstCacheLine) {
+  using Rec = Y0Record<std::uint64_t>;
+  constexpr std::size_t kSlots = decltype(Rec::seq)::kInline;
+  ASSERT_GE(kSlots, 8u);
+  Rec rec;
+  rec.seq = {kSlots, {0, 0}};
+  rec.ss = {6, Item<std::uint64_t>{}};
+  ASSERT_FALSE(rec.seq.spilled());
+  ASSERT_FALSE(rec.ss.spilled());
+  const auto* base = reinterpret_cast<const char*>(&rec);
+  auto end_of = [base](const auto* p, std::size_t n) {
+    return static_cast<std::size_t>(reinterpret_cast<const char*>(p + n) -
+                                    base);
+  };
+  EXPECT_LE(end_of(&rec.item, 1), 64u);
+  EXPECT_LE(end_of(&rec.wc, 1), 64u);
+  EXPECT_LE(end_of(rec.seq.data(), kSlots), 64u);
+  // The inline storage is inside the record, not a heap block.
+  EXPECT_GT(reinterpret_cast<const char*>(rec.seq.data()), base);
+}
 
 }  // namespace
 }  // namespace compreg::core

@@ -140,14 +140,43 @@ TEST(HazardCellTest, KeepReadPinsNodeUntilUnpinningRead) {
   EXPECT_NE(current, pinned);
   EXPECT_EQ(*current, Vec(16, 100));
   EXPECT_EQ(cell.read_unpin(0, address), current);
-  // Unpinned: the next write retires `current` and frees both it and
-  // the old pin; the one after that takes a free node, and the free
-  // list is LIFO, so the old pin is rewritten.
+  // Unpinned: the next write finds the free list empty, and its scan
+  // frees the old pin and the node retired before `current`. The free
+  // list is LIFO and the old pin was retired first, so it is the node
+  // this very write takes.
   cell.write(Vec(16, 101));
-  cell.write(Vec(16, 102));
-  EXPECT_EQ(*pinned, Vec(16, 102)) << "unpinned node never recycled";
+  EXPECT_EQ(*pinned, Vec(16, 101)) << "unpinned node never recycled";
   EXPECT_EQ(cell.node_count(), 3u);
-  EXPECT_EQ(cell.read(0), Vec(16, 102));
+  EXPECT_EQ(cell.read(0), Vec(16, 101));
+}
+
+// The batched scan: only a write that finds the free list empty scans
+// the hazard slots. Once the pool has grown to readers+2 nodes and the
+// readers are idle, each scan frees readers+1 nodes, so N writes make
+// at most ceil(N / (readers+1)) + 1 scans, not N.
+TEST(HazardCellTest, IdleReadersScanOncePerReadersPlusOneWrites) {
+  constexpr int kReaders = 3;
+  constexpr std::uint64_t kPool = kReaders + 2;
+  HazardCell<int> cell(kReaders, 0);
+  auto address = [](const int& v) { return &v; };
+  // Pin a different node in every slot: the pool grows to readers+2.
+  int next = 1;
+  for (int j = 0; j < kReaders; ++j) {
+    (void)cell.read(j, address);
+    cell.write(next++);
+  }
+  cell.write(next++);
+  ASSERT_EQ(cell.node_count(), kPool);
+  for (int j = 0; j < kReaders; ++j) (void)cell.read_unpin(j, address);
+
+  constexpr std::uint64_t kWrites = 1000;
+  const std::uint64_t before = cell.hazard_scans();
+  for (std::uint64_t i = 0; i < kWrites; ++i) cell.write(next++);
+  const std::uint64_t scans = cell.hazard_scans() - before;
+  EXPECT_LE(scans, (kWrites + kReaders) / (kReaders + 1) + 1)
+      << "the writer scans more often than its free list runs dry";
+  EXPECT_EQ(cell.node_count(), kPool);
+  EXPECT_EQ(cell.read(0), next - 1);
 }
 
 // Node recycling under concurrency: the writer copy-assigns each new
