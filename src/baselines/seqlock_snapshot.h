@@ -74,16 +74,17 @@ class SeqlockSnapshot final : public core::Snapshot<V> {
     }
     sched::point(version_access_.write());
     // Boehm seqlock writer: the odd bump may be relaxed because the
-    // release fence below keeps it ordered before the slot stores.
+    // release slot stores below keep it ordered before themselves.
     version_.fetch_add(1, std::memory_order_relaxed);  // now odd
-    // orders the odd bump before the slot stores (Boehm seqlock writer)
-    std::atomic_thread_fence(std::memory_order_release);
     sched::point(slot_access_[k].write());
-    // relaxed: the lock serializes writers, and readers only trust a
-    // slot view bracketed by an even, unchanged version.
+    // relaxed: the lock serializes writers, so this writer's own last
+    // store (or the previous holder's, handed over by the lock) is read.
     const std::uint64_t id = slots_[k].id.load(std::memory_order_relaxed) + 1;
-    slots_[k].value.store(value, std::memory_order_relaxed);  // see above: version-bracketed
-    slots_[k].id.store(id, std::memory_order_relaxed);        // see above: version-bracketed
+    // release: a reader whose acquire load sees this store also sees
+    // the odd bump above, so its v2 recheck fails (Boehm seqlock writer,
+    // data stores as release instead of a release fence).
+    slots_[k].value.store(value, std::memory_order_release);
+    slots_[k].id.store(id, std::memory_order_release);  // release: as above
     sched::point(version_access_.write());
     // release: a reader that observes this even version also observes
     // the slot stores above (pairs with the reader's acquire of v1).
@@ -109,17 +110,15 @@ class SeqlockSnapshot final : public core::Snapshot<V> {
       for (int k = 0; k < c_; ++k) {
         const std::size_t ku = static_cast<std::size_t>(k);
         sched::point(slot_access_[ku].read());
-        // relaxed: validated by the v1 == v2 recheck below; a torn view
-        // fails the recheck and is retried, never returned.
-        out[ku].val = slots_[ku].value.load(std::memory_order_relaxed);
-        out[ku].id = slots_[ku].id.load(std::memory_order_relaxed);  // see above: rechecked
-
+        // acquire: keeps the v2 validation load below from drifting
+        // before this load, and pairs with the writer's release store,
+        // so a view torn by a write fails the recheck (Boehm seqlock
+        // reader, data loads as acquire instead of an acquire fence).
+        out[ku].val = slots_[ku].value.load(std::memory_order_acquire);
+        out[ku].id = slots_[ku].id.load(std::memory_order_acquire);  // acquire: as above
       }
-      // acquire fence keeps the slot loads above from drifting past the
-      // v2 validation load (Boehm seqlock reader).
-      std::atomic_thread_fence(std::memory_order_acquire);
       sched::point(version_access_.read());
-      // relaxed: already ordered after the slot loads by the fence.
+      // relaxed: already ordered after the slot loads by their acquire.
       const std::uint64_t v2 = version_.load(std::memory_order_relaxed);
       if (v1 == v2) break;
     }

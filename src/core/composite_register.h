@@ -49,8 +49,8 @@
 namespace compreg::core {
 
 // Y[0]'s record type (Figure 2/3), one flat object: seq and ss keep
-// their elements inline up to a byte budget, so a HazardCell node is one
-// allocation, a record copy is one copy, and the fields every reader
+// their elements inline up to a byte budget, so a HazardCell node holds
+// the whole record, a record copy is one copy, and the fields every reader
 // touches (item, wc, seq[j]) share the record's first cache line. The
 // budgets hold up to 8 reader slots and six 64-bit components; a larger
 // shape or a larger V spills seq or ss to one heap block. For the base
@@ -151,7 +151,7 @@ class CompositeRegister final : public Snapshot<V> {
   // Read operation (Figure 3, Reader procedure).
   // -------------------------------------------------------------------
   void scan_items(int reader_id, std::vector<Item<V>>& out) override {
-    collect(reader_id, out, /*last=*/true);
+    collect(reader_id, out);
   }
 
   using Snapshot<V>::scan;
@@ -308,7 +308,7 @@ class CompositeRegister final : public Snapshot<V> {
     //    values, so this write does not alter Y[0].seq[1] or Y[0].ss.
     y0_->write(w);
     // 4: read y := Y[1..C-1]  (snapshot of the other Writers)
-    inner_->collect(r_, w0_.y, /*last=*/true);
+    inner_->collect(r_, w0_.y);
     // 5: ss[0], ss[k] := item, y[k]
     w.ss[0] = w.item;
     for (int k = 1; k < c_; ++k) {
@@ -326,11 +326,8 @@ class CompositeRegister final : public Snapshot<V> {
     return w.item.id;
   }
 
-  // One Read at this level on slot j. `last` is set when this is the
-  // Read's final visit to this level within the enclosing top-level
-  // Read (or Writer 0 embedded scan): its final Y[0] read then unpins
-  // slot j's hazard, so an idle reader pins no node.
-  void collect(int j, std::vector<Item<V>>& out, bool last) {
+  // One Read at this level on slot j.
+  void collect(int j, std::vector<Item<V>>& out) {
     COMPREG_DCHECK(j >= 0 && j < r_);
     // audit: exempt(waitfree, Read recursion bounded by C - collect/read_general strip one level per call, O(2^C) steps total, paper Theorem 2)
 #ifndef NDEBUG
@@ -341,10 +338,10 @@ class CompositeRegister final : public Snapshot<V> {
 #endif
     if (c_ == 1) {
       out.resize(1);
-      out[0] = read_y0(j, last, [](const Y0& y) { return y.item; });
+      out[0] = y0_->read(j, [](const Y0& y) { return y.item; });
       bump(base_reads_[static_cast<std::size_t>(j)].n);
     } else {
-      read_general(j, out, last);
+      read_general(j, out);
     }
 #ifndef NDEBUG
     // relaxed: see the exchange above - debug guard only.
@@ -352,21 +349,14 @@ class CompositeRegister final : public Snapshot<V> {
 #endif
   }
 
-  // A read of Y[0] on slot j; with `unpin` set, a cell that keeps its
-  // hazard pinned between reads (HazardCell) clears it inside this
-  // read. The register model sees the same one read either way.
-  template <typename F>
-  auto read_y0(int j, bool unpin, F&& f) {
-    if constexpr (requires { y0_->read_unpin(j, f); }) {
-      if (unpin) return y0_->read_unpin(j, std::forward<F>(f));
-    }
-    return y0_->read(j, std::forward<F>(f));
-  }
-
   // Each read of Y[0] below is one register read that takes from the
   // record only the fields its statement uses (HazardCell::read(j, f)
-  // looks at them in place; other cells copy the record first).
-  void read_general(int j, std::vector<Item<V>>& out, bool last) {
+  // looks at them in place; other cells copy the record first). A
+  // HazardCell keeps slot j's node pinned between reads, also across
+  // scans, so a level no 0-Write touched since slot j's last visit is
+  // read with two loads and a compare, and (with a WordCell Z) its Z[j]
+  // write below stores nothing when newseq is unchanged.
+  void read_general(int j, std::vector<Item<V>>& out) {
     const std::size_t ju = static_cast<std::size_t>(j);
     ReaderSlot& slot = slots_[ju];
     // 0: read x := Y[0]  (only x.seq[j] is used)
@@ -379,15 +369,15 @@ class CompositeRegister final : public Snapshot<V> {
     // 3: read a := Y[0]  (a.item, a.wc)
     const ItemWc a = y0_->read(j, item_wc);
     // 4: read b := Y[1..C-1]
-    inner_->collect(j, slot.b, /*last=*/false);
+    inner_->collect(j, slot.b);
     // 5: read c := Y[0]  (c.item, c.wc)
     const ItemWc c = y0_->read(j, item_wc);
     // 6: read d := Y[1..C-1]
-    inner_->collect(j, slot.d, last);
+    inner_->collect(j, slot.d);
     // 7: read e := Y[0], and 8's first test on it: if it holds, e.ss
     //    is copied into out inside the read.
     out.resize(static_cast<std::size_t>(c_));
-    const bool adopted = read_y0(j, last, [&](const Y0& e) {
+    const bool adopted = y0_->read(j, [&](const Y0& e) {
       const bool adopt =
           e.seq[ju][1] == newseq || e.wc == mod3_plus(a.wc, 2);
       if (adopt) std::copy(e.ss.begin(), e.ss.end(), out.begin());

@@ -2,7 +2,7 @@
 // arbitrary payload types — the practical backend for the construction's
 // large Y[0] record.
 //
-// The writer publishes heap nodes through one atomic pointer; readers
+// The writer publishes nodes through one atomic pointer; readers
 // protect their node with a per-reader hazard slot before looking at
 // it. Reads are linearizable (the pointer load is the linearization
 // point) and *lock-free*: a reader retries its protect/verify handshake
@@ -20,27 +20,34 @@
 // it with one pointer compare — no store, no fence. The protect/verify
 // handshake runs only when a write has landed since the slot's last
 // read. read_unpin(j, f) is the same read that clears slot j at the
-// end, so a reader about to go idle pins nothing.
+// end, for a reader that wants to pin nothing while idle.
 //
-// Nodes are recycled, not freed. A write takes a node from its private
-// free list and copy-assigns into it (reusing, e.g., the capacity of the
-// payload's vectors). Only a write that finds the free list empty scans
-// the hazard slots: the scan moves every retired node no slot holds to
-// the free list, and the write allocates only if the scan freed
-// nothing. With idle readers one scan refills the list for the next
-// readers+1 writes, so the writer reads the readers' slot lines once per
-// readers+1 writes instead of once per write (Michael's amortized scan,
-// IEEE TPDS 2004). At most readers+2 nodes ever exist: a scan that frees
-// nothing leaves at most `readers` retired nodes (each held by a slot),
-// plus the current node, plus the one allocated. The writer allocates
-// only until its free list is warm and is wait-free: at most one hazard
-// scan of bounded length per write.
+// The cell makes one allocation, at construction: a block holding the
+// readers' hazard slots and room for readers+2 nodes, each slot and
+// each node on cache lines of its own. Only the initial node is built
+// then; a write builds the next node in place when it needs one, so
+// construction touches no more memory than it uses and no write
+// allocates a node. Nodes are recycled, not freed. A write takes a node
+// from its private free list and copy-assigns into it (reusing, e.g.,
+// the capacity of the payload's vectors). Only a write that finds the
+// free list empty scans the hazard slots: the scan moves every retired
+// node no slot holds to the free list, and the write builds a fresh
+// node only if the scan freed nothing. With readers that pin nothing,
+// one scan refills the list for the next readers+1 writes, so the
+// writer reads the readers' slot lines once per readers+1 writes
+// instead of once per write (Michael's amortized scan, IEEE TPDS 2004).
+// At most readers+2 nodes are ever built: a scan that frees nothing
+// leaves at most `readers` retired nodes (each held by a slot), plus
+// the current node, plus the one built. So pins kept across reads,
+// however old, cost no allocation. The writer is wait-free: at most one
+// hazard scan of bounded length per write.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
+#include <new>
 #include <utility>
 
 #include "sched/access.h"
@@ -56,22 +63,26 @@ class HazardCell {
  public:
   HazardCell(int readers, T initial, const char* label = "cell",
              std::uint64_t payload_bits = sizeof(T) * 8)
-      : readers_(readers),
-        access_(label, sched::Discipline::kSwmr, readers),
-        hazards_(std::make_unique<HazardSlot[]>(
-            static_cast<std::size_t>(readers))) {
+      : readers_(readers), access_(label, sched::Discipline::kSwmr, readers) {
     COMPREG_CHECK(readers >= 1);
-    current_.store(new Node{std::move(initial)},
-                   std::memory_order_relaxed);
-    nodes_ = 1;
+    // One plain allocation, aligned by hand: the slots, then the node
+    // slab, both in whole cache lines. Left uninitialised: only the
+    // slots and node 0 are built now.
+    const std::size_t slots = static_cast<std::size_t>(readers);
+    const std::size_t bytes = slots * sizeof(HazardSlot) +
+                              capacity() * sizeof(Node);
+    std::size_t space = bytes + kLine - 1;
+    block_.reset(::operator new(space));
+    void* start = block_.get();
+    hazards_ = static_cast<HazardSlot*>(std::align(kLine, bytes, start, space));
+    std::uninitialized_default_construct_n(hazards_, slots);
+    slab_ = reinterpret_cast<std::byte*>(hazards_ + slots);
+    current_.store(build(std::move(initial)), std::memory_order_relaxed);
     account_register(label, payload_bits, readers);
   }
 
   ~HazardCell() {
-    delete current_.load(std::memory_order_relaxed);
-    for (Node* list : {retired_, free_}) {
-      while (list != nullptr) delete std::exchange(list, list->next);
-    }
+    for (std::uint64_t i = 0; i < nodes_; ++i) node_at(i)->~Node();
   }
 
   HazardCell(const HazardCell&) = delete;
@@ -79,7 +90,7 @@ class HazardCell {
 
   int readers() const { return readers_; }
 
-  // Nodes allocated so far (current + retired + free); never exceeds
+  // Nodes built so far (current + retired + free); never exceeds
   // readers+2. Writer-side: call from the writer or after it is joined.
   std::uint64_t node_count() const { return nodes_; }
 
@@ -127,10 +138,10 @@ class HazardCell {
       free_ = node->next;
       node->value = value;
     } else {
-      // audit: exempt(blocking, allocates only when a hazard scan frees nothing - at most readers+2 nodes ever exist, then every write recycles one)
-      node = new Node{value};
-      ++nodes_;
-      COMPREG_DCHECK(nodes_ <= static_cast<std::uint64_t>(readers_) + 2);
+      // The scan freed nothing, so every retired node is held by a slot:
+      // at most readers_ retired nodes plus the current one are built,
+      // and the slab has room for this one.
+      node = build(value);
     }
     Node* old = current_.exchange(node, std::memory_order_seq_cst);
     old->next = retired_;
@@ -139,14 +150,41 @@ class HazardCell {
   }
 
  private:
-  struct Node {
+  static constexpr std::size_t kLine = 64;
+
+  // Line-aligned, so a reader's fields (a Y[0] record's item, wc and
+  // seq[j]) share the node's first line.
+  struct alignas(kLine) Node {
     T value;
     Node* next = nullptr;  // retired/free list link, writer-private
     bool held = false;     // reclaim() scratch mark, writer-private
   };
-  struct alignas(64) HazardSlot {
+  struct alignas(kLine) HazardSlot {
     std::atomic<Node*> ptr{nullptr};
   };
+  struct FreeBlock {
+    void operator()(void* block) const { ::operator delete(block); }
+  };
+
+  std::size_t capacity() const {
+    return static_cast<std::size_t>(readers_) + 2;
+  }
+
+  Node* node_at(std::uint64_t i) const {
+    return std::launder(reinterpret_cast<Node*>(slab_ + i * sizeof(Node)));
+  }
+
+  // Builds the next slab node in place. Writer-private (and the
+  // constructor's): the bound is a release check because it guards a
+  // fixed buffer.
+  template <typename U>
+  Node* build(U&& value) {
+    COMPREG_CHECK(nodes_ < capacity(), "HazardCell slab holds readers+2 nodes");
+    Node* node = ::new (slab_ + nodes_ * sizeof(Node))
+        Node{std::forward<U>(value)};
+    ++nodes_;
+    return node;
+  }
 
   template <typename F>
   auto read_impl(int reader_id, F&& f, bool unpin) {
@@ -223,12 +261,14 @@ class HazardCell {
   const int readers_;
   sched::AccessLabel access_;
   std::atomic<Node*> current_{nullptr};
-  std::unique_ptr<HazardSlot[]> hazards_;
+  HazardSlot* hazards_ = nullptr;  // readers_ slots at the block's head
+  std::byte* slab_ = nullptr;      // capacity() nodes after the slots
+  std::unique_ptr<void, FreeBlock> block_;
   // Every read loads the members above; every write stores into the
   // ones below. The pad keeps the two off one cache line.
   char pad_[64];
   // Writer-private: retired nodes (replaced, maybe still protected),
-  // free nodes (unprotected, ready for reuse), the allocation count and
+  // free nodes (unprotected, ready for reuse), the built-node count and
   // the scan count.
   Node* retired_ = nullptr;
   std::size_t retired_count_ = 0;

@@ -1,7 +1,7 @@
 // Multi-reader single-writer atomic register for machine-word payloads.
 //
 // On modern hardware a std::atomic<T> with seq_cst ordering *is* an
-// MRSW (indeed MRMW) atomic register, so this is the trivial leaf of
+// MRSW atomic register, so this is the trivial leaf of
 // the register hierarchy. It still participates in the model: every
 // access is one schedule point and one counted base-register operation
 // (the unit of the paper's TR/TW recurrences).
@@ -45,10 +45,19 @@ class WordRegister {
     return value_.load(std::memory_order_seq_cst);
   }
 
+  // A write of the value the register already holds is still one
+  // labeled schedule point and one counted write, but stores nothing:
+  // the register's value is the same whether or not the store lands,
+  // so no read can tell the two apart, and the writer's line stays
+  // shared with its readers.
   void write(T value) {
     sched::point(access_.write());
     ++op_counters().reg_writes;
-    value_.store(value, std::memory_order_seq_cst);
+    // relaxed: only this register's single writer stores to it, so the
+    // load returns its own last store exactly.
+    if (value_.load(std::memory_order_relaxed) != value) {
+      value_.store(value, std::memory_order_seq_cst);
+    }
   }
 
  private:

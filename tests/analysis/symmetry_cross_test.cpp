@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -88,12 +89,17 @@ struct Enumeration {
 Enumeration run_dpor(const SnapFactory& make, const lin::WorkloadConfig& cfg,
                      const sched::DporOptions& base) {
   Enumeration out;
+  // With jobs > 1 the checks run on the engine's worker threads.
+  std::mutex violations_mu;
   sched::DporScenario scenario = [&](sched::SimScheduler& sim) {
     std::shared_ptr<core::Snapshot<std::uint64_t>> snap = make();
     auto rec = lin::spawn_sim_workload(sim, *snap, cfg);
-    return [&out, snap, rec] {
+    return [&out, &violations_mu, snap, rec] {
       const lin::CheckResult r = lin::check_shrinking_lemma(rec->merge());
-      if (!r.ok) out.violations.insert(r.violation);
+      if (!r.ok) {
+        const std::lock_guard<std::mutex> lock(violations_mu);
+        out.violations.insert(r.violation);
+      }
       return true;  // keep exploring: we want the FULL violation set
     };
   };

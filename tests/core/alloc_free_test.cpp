@@ -3,7 +3,9 @@
 // updated, scans and updates perform no heap allocation at all, and
 // construction allocates no more than the construction did before Y[0]
 // reads, HazardCell nodes and collect buffers were made reusable, nor
-// more than it does with flat Y[0] records.
+// more than it does with flat Y[0] records, nor more than one block per
+// HazardCell. A HazardCell write never allocates, even when every
+// reader pins a different node.
 //
 // This binary replaces the global operator new/delete with a counter
 // that forwards to malloc/free, so ASan and TSan still see every block.
@@ -14,10 +16,12 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <vector>
 
 #include "core/composite_register.h"
+#include "registers/hazard_cell.h"
 
 namespace {
 
@@ -81,6 +85,10 @@ constexpr std::uint64_t kCtorAllocsBefore[] = {0, 0, 19, 35, 52, 70, 89};
 // initial record keep seq and ss inline.
 constexpr std::uint64_t kCtorAllocsFlatY0[] = {0, 0, 9, 14, 19, 24, 29};
 
+// The same count once each HazardCell became one block (its hazard
+// slots and its node slab) instead of a node plus a slot array.
+constexpr std::uint64_t kCtorAllocsSlab[] = {0, 0, 7, 11, 15, 19, 23};
+
 std::uint64_t ctor_alloc_bound(const std::uint64_t* table, int c) {
   std::uint64_t bound = table[c];
 #ifndef NDEBUG
@@ -126,6 +134,8 @@ TEST_P(AllocFreeTest, SteadyStateScansAndUpdatesDoNotAllocate) {
       << "constructor allocations, C=" << c;
   EXPECT_LE(ctor, ctor_alloc_bound(kCtorAllocsFlatY0, c))
       << "constructor allocations with flat Y[0] records, C=" << c;
+  EXPECT_LE(ctor, ctor_alloc_bound(kCtorAllocsSlab, c))
+      << "constructor allocations with one block per HazardCell, C=" << c;
 
   // The reused buffers still carry the right values.
   reg.scan_items(0, out);
@@ -138,6 +148,46 @@ TEST_P(AllocFreeTest, SteadyStateScansAndUpdatesDoNotAllocate) {
 
 INSTANTIATE_TEST_SUITE_P(Components, AllocFreeTest,
                          ::testing::Values(2, 3, 4, 5, 6));
+
+// The pool must grow to readers+2 nodes when every reader parks inside
+// a visitor on a different node: the nested holds of
+// HazardCellTest.PoolNeverExceedsReadersPlusTwo. The cell builds those
+// nodes in the block its constructor allocated, so no write allocates.
+TEST(HazardCellAllocTest, WritesNeverAllocate) {
+  using Cell = registers::HazardCell<std::uint64_t>;
+  const std::uint64_t before_ctor = allocs();
+  Cell cell(kReaders, 0);
+  EXPECT_EQ(allocs() - before_ctor, 1u) << "constructor allocations";
+
+  const std::uint64_t before_writes = allocs();
+  std::uint64_t next = 1;
+  auto write_some = [&](int n) {
+    for (int i = 0; i < n; ++i) cell.write(next++);
+  };
+  // A visitor that writes is legal only in a single-threaded test: the
+  // cell runs it inside the read, while the slot pins the node.
+  std::function<void(int)> hold = [&](int j) {
+    (void)cell.read(j, [&](const std::uint64_t& held) {
+      const std::uint64_t copy = held;
+      write_some(1);
+      if (j + 1 < kReaders) {
+        hold(j + 1);
+      } else {
+        write_some(100);
+      }
+      EXPECT_EQ(held, copy) << "node held by reader " << j << " recycled";
+      return 0;
+    });
+  };
+  // std::function may allocate for the capture; count only the cell.
+  const std::uint64_t function_allocs = allocs() - before_writes;
+  hold(0);
+  write_some(100);
+  EXPECT_EQ(cell.node_count(), static_cast<std::uint64_t>(kReaders) + 2);
+  EXPECT_EQ(allocs() - before_writes, function_allocs)
+      << "allocations over " << next - 1 << " writes";
+  EXPECT_EQ(cell.read(0), next - 1);
+}
 
 }  // namespace
 }  // namespace compreg::core

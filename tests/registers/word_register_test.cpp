@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <thread>
+#include <vector>
 
+#include "sched/access.h"
 #include "util/space_accounting.h"
 
 namespace compreg::registers {
@@ -29,6 +32,40 @@ TEST(WordRegisterTest, CountsOperations) {
   (void)reg.read();
   EXPECT_EQ(win.delta().reg_reads, 1u);
   EXPECT_EQ(win.delta().reg_writes, 1u);
+}
+
+// Records the kind of every labeled access while installed.
+class KindRecorder final : public sched::AccessObserver {
+ public:
+  void on_access(const sched::Access& access, int /*proc*/,
+                 std::uint64_t /*sched_pos*/) override {
+    kinds.push_back(access.kind);
+  }
+  std::vector<sched::AccessKind> kinds;
+};
+
+// A write of the value the register already holds stores nothing, but
+// the model still sees it: one counted write and one labeled write
+// point, the value unchanged, and a changed write after it lands.
+TEST(WordRegisterTest, SameValueWriteKeepsTheModel) {
+  WordRegister<std::uint8_t> reg(2);
+  KindRecorder recorder;
+  OpWindow win;
+  {
+    sched::ScopedAccessObserver install(&recorder);
+    reg.write(2);
+  }
+  EXPECT_EQ(win.delta().reg_writes, 1u);
+  EXPECT_EQ(win.delta().reg_reads, 0u);
+  ASSERT_EQ(recorder.kinds.size(), 1u);
+  EXPECT_EQ(recorder.kinds[0], sched::AccessKind::kWrite);
+  EXPECT_EQ(reg.read(), 2);
+  reg.write(0);
+  EXPECT_EQ(reg.read(), 0);
+  reg.write(0);
+  reg.write(1);
+  EXPECT_EQ(reg.read(), 1);
+  EXPECT_EQ(win.delta().reg_writes, 4u);
 }
 
 TEST(WordRegisterTest, AccountsSpace) {
