@@ -2,8 +2,8 @@
 // tested single-threaded and in-process: the wire format, the stream
 // frame reassembler, file-backed durability, loopback socket delivery
 // (UDS and TCP), and the FaultyTransport decorator's drop/partition
-// behavior. The multi-process, kill-9 behavior is covered by the
-// tools/verify_net_real harness, not here.
+// behavior. The multi-process, kill-9 behavior is covered by
+// `tools/compreg_loadgen --direct`, not here.
 #include "net/real/transport.h"
 
 #include <gtest/gtest.h>

@@ -62,7 +62,7 @@ EXEMPT_DIRS = {
     ("src/net/real", "waitfree"): (
         "real-socket transport: separate OS processes under real kernels; "
         "progress is wall-clock-bounded by Deadline/backoff budgets and "
-        "verified by verify_net_real chaos runs, not by per-step "
+        "verified by compreg_loadgen --direct chaos runs, not by per-step "
         "wait-freedom"
     ),
     ("src/net/real", "blocking"): (

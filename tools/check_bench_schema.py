@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Validate BENCH_*.json files against the shared schema wrapper.
 
-Every bench emitter (bench_net, bench_dpor, bench_waitfreedom, and the
-harness's BENCH_transport.json) writes the same envelope:
+Every bench emitter (bench_net, bench_dpor, bench_waitfreedom,
+bench_throughput, and compreg_loadgen's BENCH_server.json and
+BENCH_transport.json) writes the same envelope:
 
     {"schema_version": 1, "bench": "<name>", "rows": [ {...}, ... ]}
 
@@ -18,8 +19,9 @@ This checker enforces the contract downstream diffing relies on:
   * rows that share the same key-set within a bench agree on value
     types key-by-key (an int column cannot silently become a string)
   * benches with a registered column contract (REQUIRED_COLUMNS) carry
-    every required column in every row — the server soak and the
-    throughput series feed dashboards that hard-code these names
+    every required column in every row — the server soak, the
+    transport sweep and the throughput series feed dashboards that
+    hard-code these names
 
 Usage: check_bench_schema.py FILE [FILE...]
 Exit codes: 0 all files conform, 1 violations found, 64 usage/IO error.
@@ -43,6 +45,11 @@ REQUIRED_COLUMNS = {
     "server_telemetry": {"experiment", "kind", "name"},
     "throughput": {
         "experiment", "name", "threads", "iterations", "ns_per_op",
+    },
+    "transport": {
+        "experiment", "kind", "writer_ops_per_cell", "loss_permille", "f",
+        "ops", "throughput_ops_per_s", "p50_us", "p99_us", "retries_per_op",
+        "msgs_per_op", "pending_writes", "unavailable_reads",
     },
 }
 

@@ -1,14 +1,15 @@
-// compreg_loadgen: multi-client soak driver for the register service.
+// compreg_loadgen: the fleet-chaos driver for the real transport.
 //
-// The harness owns the whole stack: it spawns the 2f+1 replica fleet
-// (re-executing itself with --replica, like verify_net_real), spawns a
-// compreg_server daemon fronting that fleet, and then drives N
-// concurrent client connections (ServerClient, UDS or TCP) with a mixed
-// write/read workload while optionally SIGKILLing and restarting fleet
-// replicas mid-traffic.
+// Both modes spawn the 2f+1 replica fleet (re-executing this binary with
+// --replica), inject the socket-level NetFaultPlan at every endpoint,
+// optionally SIGKILL and restart replicas mid-traffic (`--kills N`, each
+// cycle waiting for the victim's rejoin), record every operation in a
+// global logical-clock history, and certify the run, not just measure
+// it.
 //
-// Every operation is recorded in a global logical-clock history and the
-// run is certified, not just measured:
+// Service mode (the default) also spawns a compreg_server daemon in
+// front of the fleet and drives `--clients` concurrent connections
+// (ServerClient, UDS or TCP) with a mixed write/read workload:
 //
 //   * the funneled atomicity checker (lin/register_checker.h): the
 //     server assigns every write a timestamp from one monotone
@@ -30,11 +31,23 @@
 //     final probe read must observe at least the largest acknowledged
 //     write timestamp (end-to-end durability through kill-9 cycles).
 //
-// `--bench-json FILE` additionally emits BENCH_server.json
-// (schema_version 1, validated by tools/check_bench_schema.py).
+// Direct mode (`--direct`) spawns no daemon: one SWMR writer thread
+// (`--ops` writes, value == ts) and `--clients`-1 reader threads drive
+// RealAbdClient over FaultyTransport straight at the fleet. The history
+// goes through the crash-aware register atomicity checker (Unavailable
+// writes are pending: they may still take effect, they cannot
+// un-happen), and the real durability audit checks that every killed
+// replica restarts with a durable timestamp covering every ack a client
+// received from it before the kill — persist-before-ack against real
+// SIGKILLs. `--kill-majority` SIGKILLs f+1 replicas and requires every
+// further operation to degrade to an explicit bounded Unavailable.
+//
+// `--bench-json FILE` writes BENCH_server.json from the soak (service
+// mode) or sweeps loss x f into BENCH_transport.json (direct mode); both
+// are validated by tools/check_bench_schema.py.
 //
 // Exit codes: 0 clean, 1 violation (artifact written), 2 watchdog hang,
-// 64 usage.
+// 64 usage (including a flag that does not apply to the selected mode).
 #include <unistd.h>
 
 #include <algorithm>
@@ -57,6 +70,8 @@
 #include "lin/history.h"
 #include "lin/register_checker.h"
 #include "net/net_plan.h"
+#include "net/real/client.h"
+#include "net/real/fault_transport.h"
 #include "net/real/supervisor.h"
 #include "net/real/transport.h"
 #include "net/real/wire.h"
@@ -74,7 +89,13 @@ using compreg::lin::RegisterHistory;
 using compreg::lin::RegRead;
 using compreg::lin::RegWrite;
 using compreg::net::NetFaultPlan;
+using compreg::net::real::FaultyTransport;
 using compreg::net::real::MsgType;
+using compreg::net::real::ProcEvent;
+using compreg::net::real::RealAbdClient;
+using compreg::net::real::RealClientConfig;
+using compreg::net::real::SocketTransport;
+using compreg::net::real::TransportConfig;
 using compreg::net::real::TransportKind;
 using compreg::net::real::WireMsg;
 using compreg::server::ClientConfig;
@@ -82,12 +103,16 @@ using compreg::server::make_read_req;
 using compreg::server::make_write_req;
 using compreg::server::ServerClient;
 using compreg::tools::Artifact;
+using compreg::tools::AuditStart;
 using compreg::tools::epoch_to_ns;
 using compreg::tools::Fleet;
 using compreg::tools::FleetConfig;
 using compreg::tools::kExitUsage;
 using compreg::tools::kExitViolation;
+using compreg::tools::kind_name;
 using compreg::tools::LiveState;
+using compreg::tools::mix_seed;
+using compreg::tools::parse_kind;
 using compreg::tools::run_replica_child;
 using compreg::tools::SteadyPoint;
 using compreg::tools::Watchdog;
@@ -98,18 +123,23 @@ using compreg::Rng;
 // Options
 
 struct Options {
+  bool direct = false;         // drive the fleet with no daemon in front
+  bool kill_majority = false;  // direct only
   int f = 1;
   TransportKind kind = TransportKind::kUds;
   int base_port = 47900;   // fleet-facing
-  int front_port = 47950;  // client-facing (TCP only)
+  int front_port = 47950;  // client-facing (service mode, TCP only)
   std::string dir;         // empty: mkdtemp under /tmp
-  std::string plan_text;   // socket-level fault plan (replicas + server)
-  int clients = 8;
-  std::uint64_t ops = 100;  // per client
+  std::string plan_text;   // socket-level fault plan (every endpoint)
+  int clients = 8;         // direct: one writer + clients-1 readers
+  std::uint64_t ops = 100;  // per client; direct: writer ops
   unsigned write_pct = 20;
   int kills = 0;
   std::uint64_t seed = 1;
-  unsigned attempt_ms = 100;
+  // 0 until parsed, then a per-mode default: 15 ms for direct clients,
+  // so each op of a dead-majority run spends its retry budget in well
+  // under a second; 100 ms for the daemon.
+  unsigned attempt_ms = 0;
   unsigned max_attempts = 8;
   std::uint32_t max_inflight = 128;
   unsigned op_timeout_ms = 10000;
@@ -119,9 +149,6 @@ struct Options {
   Artifact artifact;
 
   int replicas() const { return 2 * f + 1; }
-  const char* kind_name() const {
-    return kind == TransportKind::kTcp ? "tcp" : "uds";
-  }
   FleetConfig fleet_config() const {
     FleetConfig cfg;
     cfg.f = f;
@@ -136,12 +163,19 @@ struct Options {
 
 std::string replay_command(const Options& opt) {
   std::ostringstream os;
-  os << "compreg_loadgen --f " << opt.f << " --kind " << opt.kind_name()
-     << " --clients " << opt.clients << " --ops " << opt.ops
-     << " --write-pct " << opt.write_pct << " --kills " << opt.kills
-     << " --seed " << opt.seed << " --max-inflight " << opt.max_inflight;
+  os << "compreg_loadgen" << (opt.direct ? " --direct" : "") << " --f "
+     << opt.f << " --kind " << kind_name(opt.kind) << " --clients "
+     << opt.clients << " --ops " << opt.ops << " --kills " << opt.kills
+     << " --seed " << opt.seed << " --attempt-ms " << opt.attempt_ms
+     << " --max-attempts " << opt.max_attempts;
+  if (opt.direct) {
+    if (opt.kill_majority) os << " --kill-majority";
+  } else {
+    os << " --write-pct " << opt.write_pct << " --max-inflight "
+       << opt.max_inflight;
+  }
   if (!opt.plan_text.empty()) os << " --plan '" << opt.plan_text << "'";
-  os << "  # wall-clock soak: replays the scenario, not the schedule";
+  os << "  # wall-clock chaos: replays the scenario, not the schedule";
   return os.str();
 }
 
@@ -156,6 +190,458 @@ std::string default_server_bin() {
   return path.substr(0, slash) + "/compreg_server";
 }
 
+double percentile_us(std::vector<std::uint64_t>& ns, double q) {
+  if (ns.empty()) return 0;
+  std::sort(ns.begin(), ns.end());
+  const auto idx =
+      static_cast<std::size_t>(q * static_cast<double>(ns.size() - 1));
+  return static_cast<double>(ns[idx]) / 1000.0;
+}
+
+std::uint64_t elapsed_ns(SteadyPoint t0, SteadyPoint t1) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+}
+
+// ---------------------------------------------------------------------------
+// Shared by both modes: fleet start-up, kill-9 cycles, the verdict
+
+// Spawns the fleet (under `subdir` of the data dir when given) and waits
+// for every replica's first 'serving' line.
+bool start_fleet(const Options& opt, Fleet& fleet,
+                 const std::string& subdir = std::string()) {
+  if (!fleet.start(subdir)) return false;
+  if (fleet.wait_all_serving(std::chrono::milliseconds(15000))) return true;
+  write_artifact(opt.artifact, "fleet startup failure", opt.seed, "",
+                 opt.plan_text, "", replay_command(opt),
+                 "a replica never logged 'serving' within 15s of spawn",
+                 nullptr);
+  return false;
+}
+
+// Kill-9 chaos over the fleet (never the daemon): spreads opt.kills
+// cycles evenly over `total` operations as `ops_done` counts them, one
+// victim at a time, each cycle waiting for the victim's rejoin (its next
+// 'serving' audit line) before arming the next.
+void kill_cycles(const Options& opt, Fleet& fleet,
+                 const std::atomic<std::uint64_t>& ops_done,
+                 std::uint64_t total, std::atomic<std::uint64_t>& progress,
+                 std::vector<std::string>& findings) {
+  for (int k = 0; k < opt.kills; ++k) {
+    const std::uint64_t threshold =
+        total * static_cast<std::uint64_t>(k + 1) /
+        static_cast<std::uint64_t>(opt.kills + 1);
+    while (ops_done.load(std::memory_order_relaxed) < threshold) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    const int victim = k % opt.replicas();
+    const int seen = fleet.serving_count(victim);
+    std::printf("loadgen: kill-9 cycle %d/%d -> replica %d\n", k + 1,
+                opt.kills, victim);
+    fleet.sup().kill9(victim);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));  // downtime
+    fleet.spawn(victim);
+    progress.fetch_add(1);
+    if (!fleet.wait_serving(victim, seen + 1,
+                            std::chrono::milliseconds(30000))) {
+      std::ostringstream os;
+      os << "recovery: replica " << victim
+         << " did not rejoin (no new 'serving' line) within 30s of restart";
+      findings.push_back(os.str());
+      break;
+    }
+    progress.fetch_add(1);
+  }
+}
+
+// Writes the artifact when there are findings and prints the verdict.
+int verdict(const Options& opt, const std::vector<std::string>& findings) {
+  if (findings.empty()) {
+    std::printf("compreg_loadgen: PASS\n");
+    return 0;
+  }
+  std::ostringstream dump;
+  for (const std::string& f : findings) dump << f << "\n";
+  write_artifact(opt.artifact, "violation", opt.seed, "", opt.plan_text, "",
+                 replay_command(opt), findings.front(), nullptr, dump.str());
+  std::printf("compreg_loadgen: FAIL (%zu finding%s)\n", findings.size(),
+              findings.size() == 1 ? "" : "s");
+  return kExitViolation;
+}
+
+// ---------------------------------------------------------------------------
+// Direct mode: RealAbdClient threads straight at the fleet
+
+struct AckRec {
+  int replica = -1;
+  std::uint64_t ts = 0;
+  std::int64_t t_ns = 0;
+};
+
+struct WorkerOut {
+  std::vector<RegWrite> writes;
+  std::vector<RegRead> reads;
+  std::vector<AckRec> acks;
+  std::vector<std::uint64_t> latencies_ns;
+  std::uint64_t unavailable_reads = 0;
+  std::uint64_t pending_writes = 0;
+  std::uint64_t value_mismatches = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t frames_sent = 0;
+};
+
+RealClientConfig abd_config(const Options& opt) {
+  RealClientConfig cfg;
+  cfg.f = opt.f;
+  cfg.attempt_timeout = std::chrono::milliseconds(opt.attempt_ms);
+  cfg.max_attempts = opt.max_attempts;
+  return cfg;
+}
+
+TransportConfig client_transport(const Options& opt, const Fleet& fleet,
+                                 int node) {
+  TransportConfig cfg;
+  cfg.kind = opt.kind;
+  cfg.self = node;
+  cfg.replicas = opt.replicas();
+  cfg.dir = fleet.dir();
+  cfg.base_port = static_cast<std::uint16_t>(opt.base_port);
+  return cfg;
+}
+
+// Client 0 is the single writer: ts sequence 1..ops, value == ts (so a
+// read's value is its write id and corruption is detectable). Every
+// other client reads until `stop`.
+void direct_client(const Options& opt, const Fleet& fleet, SteadyPoint epoch,
+                   int client, LogicalClock& clock,
+                   std::atomic<std::uint64_t>& progress,
+                   std::atomic<std::uint64_t>& writes_done,
+                   const std::atomic<bool>& stop, WorkerOut& out) {
+  const int node = opt.replicas() + client;
+  SocketTransport socket(client_transport(opt, fleet, node));
+  const NetFaultPlan plan =
+      opt.plan_text.empty()
+          ? NetFaultPlan{}
+          : NetFaultPlan::parse(opt.plan_text).value_or(NetFaultPlan{});
+  FaultyTransport net(socket, plan, mix_seed(opt.seed, node), epoch);
+  RealAbdClient abd(net, abd_config(opt), epoch);
+  abd.set_ack_hook([&](int replica, std::uint64_t ts, std::int64_t t_ns) {
+    out.acks.push_back(AckRec{replica, ts, t_ns});
+  });
+  if (client == 0) {
+    for (std::uint64_t i = 0; i < opt.ops; ++i) {
+      const std::uint64_t ts = abd.next_write_ts();
+      const std::uint64_t start = clock.tick();
+      const auto t0 = std::chrono::steady_clock::now();
+      const bool ok = abd.try_write(ts, ts);
+      const auto t1 = std::chrono::steady_clock::now();
+      const std::uint64_t end = clock.tick();
+      out.writes.push_back(RegWrite{ts, start, ok ? end : kPendingEnd});
+      if (!ok) ++out.pending_writes;
+      out.latencies_ns.push_back(elapsed_ns(t0, t1));
+      progress.fetch_add(1, std::memory_order_relaxed);
+      writes_done.fetch_add(1, std::memory_order_relaxed);
+    }
+  } else {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const std::uint64_t start = clock.tick();
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto result = abd.try_read();
+      const auto t1 = std::chrono::steady_clock::now();
+      const std::uint64_t end = clock.tick();
+      if (result.ok) {
+        // value == write id by construction; a mismatch is corruption the
+        // atomicity checker could never see (it only sees ids).
+        if (result.val != result.ts) ++out.value_mismatches;
+        out.reads.push_back(RegRead{result.ts, start, end});
+        out.latencies_ns.push_back(elapsed_ns(t0, t1));
+      } else {
+        ++out.unavailable_reads;
+      }
+      progress.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  out.retries = abd.stats().retries;
+  out.frames_sent = socket.stats().sent;
+}
+
+// Runs the writer and opt.clients-1 readers until the writer has issued
+// opt.ops writes, with the kill-9 cycles on this thread meanwhile.
+// Returns every client's record, the writer's first.
+std::vector<WorkerOut> drive_direct(const Options& opt, Fleet& fleet,
+                                    SteadyPoint epoch,
+                                    std::atomic<std::uint64_t>& progress,
+                                    std::vector<std::string>& findings) {
+  LogicalClock clock;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> writes_done{0};
+  std::vector<WorkerOut> outs(static_cast<std::size_t>(opt.clients));
+  std::vector<std::thread> threads;
+  threads.reserve(outs.size());
+  for (int c = 0; c < opt.clients; ++c) {
+    threads.emplace_back([&, c] {
+      direct_client(opt, fleet, epoch, c, clock, progress, writes_done, stop,
+                    outs[static_cast<std::size_t>(c)]);
+    });
+  }
+  kill_cycles(opt, fleet, writes_done, opt.ops, progress, findings);
+  threads[0].join();
+  stop.store(true);
+  for (std::size_t c = 1; c < threads.size(); ++c) threads[c].join();
+  return outs;
+}
+
+// Durability audit (real kill-9 edition)
+//
+// Invariant: for every SIGKILL of replica v at supervisor time T, the
+// next restart of v must reload durable_ts >= max{ts | some client
+// received a STORE ack (v, ts) at time < T}. An ack received before the
+// kill proves the persist completed before the kill (persist happens
+// before the ack frame leaves), so the durable file must still hold it.
+std::vector<std::string> audit_durability(
+    const std::vector<ProcEvent>& events,
+    const std::vector<AuditStart>& starts,
+    const std::vector<AckRec>& acks, int* cycles_audited) {
+  std::vector<std::string> findings;
+  int audited = 0;
+  for (const ProcEvent& ev : events) {
+    if (ev.kind != ProcEvent::Kind::kKill) continue;
+    std::uint64_t acked_before_kill = 0;
+    for (const AckRec& ack : acks) {
+      if (ack.replica == ev.node && ack.t_ns < ev.t_ns) {
+        acked_before_kill = std::max(acked_before_kill, ack.ts);
+      }
+    }
+    // First restart of this node after the kill.
+    const AuditStart* restart = nullptr;
+    for (const AuditStart& s : starts) {
+      if (s.node == ev.node && s.t_ns > ev.t_ns &&
+          (restart == nullptr || s.t_ns < restart->t_ns)) {
+        restart = &s;
+      }
+    }
+    if (restart == nullptr) continue;  // killed, never restarted: nothing owed
+    ++audited;
+    if (restart->existed == 0 && acked_before_kill > 0) {
+      std::ostringstream os;
+      os << "durability: replica " << ev.node
+         << " restarted with NO durable file but had acked ts "
+         << acked_before_kill << " before the kill";
+      findings.push_back(os.str());
+      continue;
+    }
+    if (restart->durable_ts < acked_before_kill) {
+      std::ostringstream os;
+      os << "durability: replica " << ev.node << " restarted with durable_ts "
+         << restart->durable_ts << " < acked ts " << acked_before_kill
+         << " (ack received " << "before the SIGKILL at t_ns=" << ev.t_ns
+         << ") — persist-before-ack violated";
+      findings.push_back(os.str());
+    }
+  }
+  if (cycles_audited != nullptr) *cycles_audited = audited;
+  return findings;
+}
+
+int run_direct(const Options& opt, LiveState& live,
+               std::atomic<std::uint64_t>& progress) {
+  const SteadyPoint epoch = std::chrono::steady_clock::now();
+  live.set(opt.seed, "", opt.plan_text);
+  Fleet fleet(opt.fleet_config(), epoch);
+  if (!start_fleet(opt, fleet)) return kExitViolation;
+  progress.fetch_add(1);
+
+  std::vector<std::string> findings;
+  const std::vector<WorkerOut> outs =
+      drive_direct(opt, fleet, epoch, progress, findings);
+  fleet.sup().terminate_all(std::chrono::milliseconds(2000));
+
+  // Assemble and check the global history.
+  RegisterHistory history;
+  std::uint64_t pending_writes = 0;
+  std::uint64_t unavailable_reads = 0;
+  std::uint64_t mismatches = 0;
+  std::vector<AckRec> all_acks;
+  for (const WorkerOut& out : outs) {
+    history.writes.insert(history.writes.end(), out.writes.begin(),
+                          out.writes.end());
+    history.reads.insert(history.reads.end(), out.reads.begin(),
+                         out.reads.end());
+    pending_writes += out.pending_writes;
+    unavailable_reads += out.unavailable_reads;
+    mismatches += out.value_mismatches;
+    all_acks.insert(all_acks.end(), out.acks.begin(), out.acks.end());
+  }
+  const auto lin = compreg::lin::check_register_atomicity(history);
+  if (!lin.ok) findings.push_back("linearizability: " + lin.violation);
+  if (mismatches != 0) {
+    findings.push_back("corruption: " + std::to_string(mismatches) +
+                       " reads returned val != ts");
+  }
+
+  int cycles_audited = 0;
+  const auto durability =
+      audit_durability(fleet.sup().events(), fleet.starts(), all_acks,
+                       &cycles_audited);
+  findings.insert(findings.end(), durability.begin(), durability.end());
+
+  std::printf(
+      "history: writes=%zu (pending %" PRIu64 ") reads=%zu (unavailable %"
+      PRIu64 ")\n",
+      history.writes.size(), pending_writes, history.reads.size(),
+      unavailable_reads);
+  std::printf("lin: %s\n", lin.ok ? "OK" : lin.violation.c_str());
+  std::printf("durability: %s (%d kill cycle%s audited, %zu acks)\n",
+              durability.empty() ? "OK" : "VIOLATION", cycles_audited,
+              cycles_audited == 1 ? "" : "s", all_acks.size());
+  return verdict(opt, findings);
+}
+
+// With f+1 replicas dead, every operation must degrade to an explicit
+// Unavailable within its bounded retry budget: never hang (the watchdog
+// guards that), never return a value.
+int run_kill_majority(const Options& opt, LiveState& live,
+                      std::atomic<std::uint64_t>& progress) {
+  const SteadyPoint epoch = std::chrono::steady_clock::now();
+  live.set(opt.seed, "", opt.plan_text);
+  Fleet fleet(opt.fleet_config(), epoch);
+  if (!start_fleet(opt, fleet)) return kExitViolation;
+
+  SocketTransport socket(client_transport(opt, fleet, opt.replicas()));
+  FaultyTransport net(socket, NetFaultPlan{}, opt.seed, epoch);
+  RealAbdClient abd(net, abd_config(opt), epoch);
+
+  // Warmup: with the full fleet up, writes must succeed.
+  for (int i = 0; i < 5; ++i) {
+    const std::uint64_t ts = abd.next_write_ts();
+    if (!abd.try_write(ts, ts)) {
+      return verdict(opt, {"kill-majority: warmup write " +
+                           std::to_string(i) + " failed with the full fleet"});
+    }
+    progress.fetch_add(1);
+  }
+
+  for (int node = 0; node <= opt.f; ++node) fleet.sup().kill9(node);
+  std::printf("kill-majority: %d of %d replicas SIGKILLed\n", opt.f + 1,
+              opt.replicas());
+
+  // The per-op bound guards against unbounded-but-moving retries.
+  const auto per_op_budget = std::chrono::milliseconds(
+      static_cast<std::int64_t>(opt.max_attempts) *
+      (static_cast<std::int64_t>(opt.attempt_ms) + 64 + 32) * 4);
+  const std::uint64_t attempts = std::min<std::uint64_t>(opt.ops, 50);
+  for (std::uint64_t i = 0; i < attempts; ++i) {
+    const std::uint64_t ts = abd.next_write_ts();
+    const auto t0 = std::chrono::steady_clock::now();
+    const bool ok = abd.try_write(ts, ts);
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    progress.fetch_add(1);
+    if (ok) {
+      return verdict(opt, {"kill-majority: write " + std::to_string(i) +
+                           " claimed success without a quorum"});
+    }
+    if (elapsed > per_op_budget) {
+      return verdict(opt, {"kill-majority: write " + std::to_string(i) +
+                           " took longer than the retry budget allows (not "
+                           "a bounded degradation)"});
+    }
+  }
+  if (abd.try_read().ok) {
+    return verdict(opt, {"kill-majority: read claimed success"});
+  }
+  std::printf("kill-majority: %" PRIu64 "/%" PRIu64
+              " writes and 1/1 reads degraded to explicit Unavailable "
+              "(bounded, no hangs, no wrong values)\n",
+              attempts, attempts);
+  return verdict(opt, {});
+}
+
+// Loss x f sweep -> BENCH_transport.json. Each cell is a fresh fleet
+// driven by one writer (opt.ops writes) and one reader, with no kills
+// and no fault but the cell's loss rate: the cell fixes f, the plan,
+// the client count and the kills, whatever the flags say.
+int run_sweep(const Options& opt, std::atomic<std::uint64_t>& progress) {
+  const unsigned losses[] = {0, 10, 100};  // permille: 0%, 1%, 10%
+  const int fs[] = {1, 2};
+  std::ostringstream rows;
+  int cell = 0;
+  for (const int f : fs) {
+    for (const unsigned loss : losses) {
+      Options cfg = opt;
+      cfg.f = f;
+      cfg.plan_text = loss == 0 ? "" : "drop:" + std::to_string(loss);
+      cfg.base_port = opt.base_port + 16 * cell;
+      cfg.clients = 2;
+      cfg.kills = 0;
+      const SteadyPoint epoch = std::chrono::steady_clock::now();
+      Fleet fleet(cfg.fleet_config(), epoch);
+      if (!start_fleet(cfg, fleet,
+                       "bench-l" + std::to_string(loss) + "-f" +
+                           std::to_string(f))) {
+        return kExitViolation;
+      }
+      std::vector<std::string> no_kills;
+      const auto t0 = std::chrono::steady_clock::now();
+      const std::vector<WorkerOut> outs =
+          drive_direct(cfg, fleet, epoch, progress, no_kills);
+      const auto t1 = std::chrono::steady_clock::now();
+      fleet.sup().terminate_all(std::chrono::milliseconds(2000));
+
+      std::uint64_t ops = 0;
+      std::uint64_t retries = 0;
+      std::uint64_t frames = 0;
+      std::uint64_t pending = 0;
+      std::uint64_t unavailable_reads = 0;
+      std::vector<std::uint64_t> lat;
+      for (const WorkerOut& out : outs) {
+        ops += out.writes.size() + out.reads.size() + out.unavailable_reads;
+        retries += out.retries;
+        frames += out.frames_sent;
+        pending += out.pending_writes;
+        unavailable_reads += out.unavailable_reads;
+        lat.insert(lat.end(), out.latencies_ns.begin(),
+                   out.latencies_ns.end());
+      }
+      const double secs = std::chrono::duration<double>(t1 - t0).count();
+      const double ops_d = static_cast<double>(ops);
+      const double p50 = percentile_us(lat, 0.50);
+      const double p99 = percentile_us(lat, 0.99);
+      const double retries_per_op = static_cast<double>(retries) / ops_d;
+      const double msgs_per_op = static_cast<double>(frames) / ops_d;
+      rows << (cell == 0 ? "" : ",\n") << "    {\"experiment\": \"E18\", "
+           << "\"kind\": \"" << kind_name(opt.kind)
+           << "\", \"writer_ops_per_cell\": " << opt.ops
+           << ", \"loss_permille\": " << loss << ", \"f\": " << f
+           << ", \"ops\": " << ops
+           << ", \"throughput_ops_per_s\": " << ops_d / secs
+           << ", \"p50_us\": " << p50 << ", \"p99_us\": " << p99
+           << ", \"retries_per_op\": " << retries_per_op
+           << ", \"msgs_per_op\": " << msgs_per_op
+           << ", \"pending_writes\": " << pending
+           << ", \"unavailable_reads\": " << unavailable_reads << "}";
+      ++cell;
+      std::printf("bench: loss=%u%%o f=%d ops=%" PRIu64
+                  " thr=%.0f/s p50=%.1fus p99=%.1fus retries/op=%.4f "
+                  "msgs/op=%.2f\n",
+                  loss, f, ops, ops_d / secs, p50, p99, retries_per_op,
+                  msgs_per_op);
+    }
+  }
+
+  std::ofstream out(opt.bench_json);
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", opt.bench_json.c_str());
+    return kExitViolation;
+  }
+  out << "{\n  \"schema_version\": 1,\n  \"bench\": \"transport\",\n"
+      << "  \"rows\": [\n" << rows.str() << "\n  ]\n}\n";
+  std::printf("bench: wrote %s\n", opt.bench_json.c_str());
+  return 0;
+}
+
+// ---------------------------------------------------------------------------
+// Service mode: ServerClient connections through the daemon
+
 // Payloads encode their writer: val = (client id << 32) | op seq. The
 // initial value 0 decodes to client 0, which is the server itself and
 // never a workload client, so it can't collide with a real write.
@@ -163,9 +649,6 @@ std::uint64_t encode_val(std::uint32_t client, std::uint64_t seq) {
   return (static_cast<std::uint64_t>(client) << 32) |
          (seq & 0xffffffffull);
 }
-
-// ---------------------------------------------------------------------------
-// Client workers
 
 struct LostWrite {
   std::uint64_t seq = 0;
@@ -215,7 +698,7 @@ void client_main(const Options& opt, const std::string& front_dir,
     ops_done.fetch_add(opt.ops, std::memory_order_relaxed);
     return;
   }
-  Rng rng(compreg::tools::mix_seed(opt.seed, 1000 + static_cast<int>(id)));
+  Rng rng(mix_seed(opt.seed, 1000 + static_cast<int>(id)));
   // Straggler responses, by op seq: an op we already timed out may still
   // be answered on this connection; its response is mined afterwards so
   // a lost-but-applied write re-enters the history as pending.
@@ -284,9 +767,7 @@ void client_main(const Options& opt, const std::string& front_dir,
           out.writes.push_back(RegWrite{resp->ts, start, end});
           out.write_vals.push_back(val);
           out.max_acked_ts = std::max(out.max_acked_ts, resp->ts);
-          out.latencies_ns.push_back(static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                  .count()));
+          out.latencies_ns.push_back(elapsed_ns(t0, t1));
           break;
         case MsgType::kReadOk:
           if (is_write) {
@@ -295,9 +776,7 @@ void client_main(const Options& opt, const std::string& front_dir,
           }
           out.reads.push_back(
               ReadRec{RegRead{resp->ts, start, end}, resp->val});
-          out.latencies_ns.push_back(static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                  .count()));
+          out.latencies_ns.push_back(elapsed_ns(t0, t1));
           break;
         case MsgType::kUnavailableResp:
           if (is_write) {
@@ -352,9 +831,7 @@ void client_main(const Options& opt, const std::string& front_dir,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Server stats file (written by compreg_server at shutdown)
-
+// The daemon's stats file, written by compreg_server at shutdown.
 struct ServerStats {
   bool found = false;
   bool conservation_ok = false;
@@ -397,31 +874,12 @@ ServerStats parse_server_stats(const std::string& path) {
   return st;
 }
 
-double percentile_us(std::vector<std::uint64_t>& ns, double q) {
-  if (ns.empty()) return 0;
-  std::sort(ns.begin(), ns.end());
-  const auto idx =
-      static_cast<std::size_t>(q * static_cast<double>(ns.size() - 1));
-  return static_cast<double>(ns[idx]) / 1000.0;
-}
-
-// ---------------------------------------------------------------------------
-// The soak run
-
 int run_soak(const Options& opt, LiveState& live,
              std::atomic<std::uint64_t>& progress) {
   const SteadyPoint epoch = std::chrono::steady_clock::now();
   live.set(opt.seed, "", opt.plan_text);
-
   Fleet fleet(opt.fleet_config(), epoch);
-  if (!fleet.start()) return kExitViolation;
-  if (!fleet.wait_all_serving(std::chrono::milliseconds(15000))) {
-    write_artifact(opt.artifact, "fleet startup failure", opt.seed, "",
-                   opt.plan_text, "", replay_command(opt),
-                   "a replica never logged 'serving' within 15s of spawn",
-                   nullptr);
-    return kExitViolation;
-  }
+  if (!start_fleet(opt, fleet)) return kExitViolation;
   progress.fetch_add(1);
 
   const std::string front_dir = fleet.dir() + "/front";
@@ -430,7 +888,7 @@ int run_soak(const Options& opt, LiveState& live,
   {
     std::vector<std::string> argv = {
         opt.server_bin,
-        "--kind", opt.kind_name(),
+        "--kind", kind_name(opt.kind),
         "--f", std::to_string(opt.f),
         "--dir", fleet.dir(),
         "--front-dir", front_dir,
@@ -481,7 +939,7 @@ int run_soak(const Options& opt, LiveState& live,
   progress.fetch_add(1);
   std::printf("loadgen: fleet + server up (kind=%s f=%d), driving %d "
               "clients x %" PRIu64 " ops\n",
-              opt.kind_name(), opt.f, opt.clients, opt.ops);
+              kind_name(opt.kind), opt.f, opt.clients, opt.ops);
 
   LogicalClock clock;
   std::atomic<std::uint64_t> ops_done{0};
@@ -495,38 +953,10 @@ int run_soak(const Options& opt, LiveState& live,
                   progress, ops_done, outs[static_cast<std::size_t>(c)]);
     });
   }
-
-  // Kill-9 chaos over the fleet (never the server): spread cycles across
-  // the op stream, wait for each victim's rejoin before the next.
   std::vector<std::string> findings;
   const std::uint64_t total_ops =
       static_cast<std::uint64_t>(opt.clients) * opt.ops;
-  for (int k = 0; k < opt.kills; ++k) {
-    const std::uint64_t threshold =
-        total_ops * static_cast<std::uint64_t>(k + 1) /
-        static_cast<std::uint64_t>(opt.kills + 1);
-    while (ops_done.load(std::memory_order_relaxed) < threshold) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    const int victim = k % opt.replicas();
-    const int seen = fleet.serving_count(victim);
-    std::printf("loadgen: kill-9 cycle %d/%d -> replica %d\n", k + 1,
-                opt.kills, victim);
-    fleet.sup().kill9(victim);
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));  // downtime
-    fleet.spawn(victim);
-    progress.fetch_add(1);
-    if (!fleet.wait_serving(victim, seen + 1,
-                            std::chrono::milliseconds(30000))) {
-      std::ostringstream os;
-      os << "recovery: replica " << victim
-         << " did not rejoin (no new 'serving' line) within 30s of restart";
-      findings.push_back(os.str());
-      break;
-    }
-    progress.fetch_add(1);
-  }
-
+  kill_cycles(opt, fleet, ops_done, total_ops, progress, findings);
   for (std::thread& t : threads) t.join();
   const auto t_end = std::chrono::steady_clock::now();
 
@@ -720,7 +1150,7 @@ int run_soak(const Options& opt, LiveState& live,
     }
     out << "{\n  \"schema_version\": 1,\n  \"bench\": \"server\",\n"
         << "  \"rows\": [\n    {\"experiment\": \"E20\", \"kind\": \""
-        << opt.kind_name() << "\", \"clients\": " << opt.clients
+        << kind_name(opt.kind) << "\", \"clients\": " << opt.clients
         << ", \"write_pct\": " << opt.write_pct << ", \"ops\": " << completed
         << ", \"secs\": " << secs << ", \"throughput_ops_per_s\": " << thr
         << ", \"p50_us\": " << p50 << ", \"p99_us\": " << p99
@@ -737,19 +1167,7 @@ int run_soak(const Options& opt, LiveState& live,
         << ", \"kills\": " << opt.kills << "}\n  ]\n}\n";
     std::printf("bench: wrote %s\n", opt.bench_json.c_str());
   }
-
-  if (!findings.empty()) {
-    std::ostringstream dump;
-    for (const std::string& f : findings) dump << f << "\n";
-    write_artifact(opt.artifact, "violation", opt.seed, "", opt.plan_text, "",
-                   replay_command(opt), findings.front(), nullptr,
-                   dump.str());
-    std::printf("compreg_loadgen: FAIL (%zu finding%s)\n", findings.size(),
-                findings.size() == 1 ? "" : "s");
-    return kExitViolation;
-  }
-  std::printf("compreg_loadgen: PASS\n");
-  return 0;
+  return verdict(opt, findings);
 }
 
 }  // namespace
@@ -762,7 +1180,7 @@ int main(int argc, char** argv) {
   Options opt;
   opt.artifact.tool = "compreg_loadgen";
   opt.artifact.path = "compreg_loadgen_failure.txt";
-  opt.server_bin = default_server_bin();
+  const char* service_flag = nullptr;  // last service-only flag given
   for (int i = 1; i < argc; ++i) {
     auto next = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -771,52 +1189,66 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (!std::strcmp(argv[i], "--f")) {
-      opt.f = std::atoi(next("--f"));
-    } else if (!std::strcmp(argv[i], "--kind")) {
-      opt.kind = !std::strcmp(next("--kind"), "tcp") ? TransportKind::kTcp
-                                                     : TransportKind::kUds;
-    } else if (!std::strcmp(argv[i], "--base-port")) {
-      opt.base_port = std::atoi(next("--base-port"));
-    } else if (!std::strcmp(argv[i], "--front-port")) {
-      opt.front_port = std::atoi(next("--front-port"));
-    } else if (!std::strcmp(argv[i], "--dir")) {
-      opt.dir = next("--dir");
-    } else if (!std::strcmp(argv[i], "--plan")) {
-      opt.plan_text = next("--plan");
-    } else if (!std::strcmp(argv[i], "--clients")) {
-      opt.clients = std::atoi(next("--clients"));
-    } else if (!std::strcmp(argv[i], "--ops")) {
-      opt.ops = std::strtoull(next("--ops"), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--write-pct")) {
-      opt.write_pct = static_cast<unsigned>(std::atoi(next("--write-pct")));
-    } else if (!std::strcmp(argv[i], "--kills")) {
-      opt.kills = std::atoi(next("--kills"));
-    } else if (!std::strcmp(argv[i], "--seed")) {
-      opt.seed = std::strtoull(next("--seed"), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--attempt-ms")) {
-      opt.attempt_ms = static_cast<unsigned>(std::atoi(next("--attempt-ms")));
-    } else if (!std::strcmp(argv[i], "--max-attempts")) {
-      opt.max_attempts =
-          static_cast<unsigned>(std::atoi(next("--max-attempts")));
-    } else if (!std::strcmp(argv[i], "--max-inflight")) {
-      opt.max_inflight =
-          static_cast<std::uint32_t>(std::atoi(next("--max-inflight")));
-    } else if (!std::strcmp(argv[i], "--op-timeout-ms")) {
-      opt.op_timeout_ms =
-          static_cast<unsigned>(std::atoi(next("--op-timeout-ms")));
-    } else if (!std::strcmp(argv[i], "--watchdog")) {
-      opt.watchdog_sec = static_cast<unsigned>(std::atoi(next("--watchdog")));
-    } else if (!std::strcmp(argv[i], "--bench-json")) {
-      opt.bench_json = next("--bench-json");
-    } else if (!std::strcmp(argv[i], "--server-bin")) {
-      opt.server_bin = next("--server-bin");
-    } else if (!std::strcmp(argv[i], "--out")) {
-      opt.artifact.path = next("--out");
+    const char* flag = argv[i];
+    if (!std::strcmp(flag, "--direct")) {
+      opt.direct = true;
+    } else if (!std::strcmp(flag, "--kill-majority")) {
+      opt.kill_majority = true;
+    } else if (!std::strcmp(flag, "--f")) {
+      opt.f = std::atoi(next(flag));
+    } else if (!std::strcmp(flag, "--kind")) {
+      opt.kind = parse_kind(next(flag));
+    } else if (!std::strcmp(flag, "--base-port")) {
+      opt.base_port = std::atoi(next(flag));
+    } else if (!std::strcmp(flag, "--dir")) {
+      opt.dir = next(flag);
+    } else if (!std::strcmp(flag, "--plan")) {
+      opt.plan_text = next(flag);
+    } else if (!std::strcmp(flag, "--clients")) {
+      opt.clients = std::atoi(next(flag));
+    } else if (!std::strcmp(flag, "--ops")) {
+      opt.ops = std::strtoull(next(flag), nullptr, 10);
+    } else if (!std::strcmp(flag, "--kills")) {
+      opt.kills = std::atoi(next(flag));
+    } else if (!std::strcmp(flag, "--seed")) {
+      opt.seed = std::strtoull(next(flag), nullptr, 10);
+    } else if (!std::strcmp(flag, "--attempt-ms")) {
+      opt.attempt_ms = static_cast<unsigned>(std::atoi(next(flag)));
+    } else if (!std::strcmp(flag, "--max-attempts")) {
+      opt.max_attempts = static_cast<unsigned>(std::atoi(next(flag)));
+    } else if (!std::strcmp(flag, "--watchdog")) {
+      opt.watchdog_sec = static_cast<unsigned>(std::atoi(next(flag)));
+    } else if (!std::strcmp(flag, "--bench-json")) {
+      opt.bench_json = next(flag);
+    } else if (!std::strcmp(flag, "--out")) {
+      opt.artifact.path = next(flag);
+    } else if (!std::strcmp(flag, "--front-port")) {
+      opt.front_port = std::atoi(next(flag));
+      service_flag = flag;
+    } else if (!std::strcmp(flag, "--write-pct")) {
+      opt.write_pct = static_cast<unsigned>(std::atoi(next(flag)));
+      service_flag = flag;
+    } else if (!std::strcmp(flag, "--max-inflight")) {
+      opt.max_inflight = static_cast<std::uint32_t>(std::atoi(next(flag)));
+      service_flag = flag;
+    } else if (!std::strcmp(flag, "--op-timeout-ms")) {
+      opt.op_timeout_ms = static_cast<unsigned>(std::atoi(next(flag)));
+      service_flag = flag;
+    } else if (!std::strcmp(flag, "--server-bin")) {
+      opt.server_bin = next(flag);
+      service_flag = flag;
     } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      std::fprintf(stderr, "unknown flag %s\n", flag);
       return kExitUsage;
     }
+  }
+  if (opt.direct && service_flag != nullptr) {
+    std::fprintf(stderr, "%s does not apply with --direct\n", service_flag);
+    return kExitUsage;
+  }
+  if (opt.kill_majority && !opt.direct) {
+    std::fprintf(stderr, "--kill-majority needs --direct\n");
+    return kExitUsage;
   }
   if (opt.f < 1 || opt.clients < 1 || opt.ops < 1 || opt.write_pct > 100) {
     std::fprintf(stderr,
@@ -831,6 +1263,8 @@ int main(int argc, char** argv) {
       return kExitUsage;
     }
   }
+  if (opt.attempt_ms == 0) opt.attempt_ms = opt.direct ? 15 : 100;
+  if (opt.server_bin.empty()) opt.server_bin = default_server_bin();
   bool made_tmp = false;
   if (opt.dir.empty()) {
     char tmpl[] = "/tmp/compreg-loadgen-XXXXXX";
@@ -844,9 +1278,10 @@ int main(int argc, char** argv) {
   }
   {
     std::ostringstream os;
-    os << "compreg_loadgen --f " << opt.f << " --kind " << opt.kind_name()
-       << " --clients " << opt.clients << " --ops " << opt.ops << " --kills "
-       << opt.kills << " --seed " << opt.seed;
+    os << "compreg_loadgen" << (opt.direct ? " --direct" : "") << " --f "
+       << opt.f << " --kind " << kind_name(opt.kind) << " --clients "
+       << opt.clients << " --ops " << opt.ops << " --kills " << opt.kills
+       << " --seed " << opt.seed;
     opt.artifact.config_line = os.str();
   }
 
@@ -863,7 +1298,16 @@ int main(int argc, char** argv) {
       },
       nullptr);
 
-  const int rc = run_soak(opt, live, progress);
+  int rc = 0;
+  if (!opt.direct) {
+    rc = run_soak(opt, live, progress);
+  } else if (!opt.bench_json.empty()) {
+    rc = run_sweep(opt, progress);
+  } else if (opt.kill_majority) {
+    rc = run_kill_majority(opt, live, progress);
+  } else {
+    rc = run_direct(opt, live, progress);
+  }
   if (made_tmp && rc == 0) {
     const std::string cmd = "rm -rf '" + opt.dir + "'";
     [[maybe_unused]] const int ignored = std::system(cmd.c_str());

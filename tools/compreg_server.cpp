@@ -41,7 +41,9 @@ using compreg::tools::epoch_to_ns;
 using compreg::tools::Fleet;
 using compreg::tools::FleetConfig;
 using compreg::tools::kExitUsage;
+using compreg::tools::kind_name;
 using compreg::tools::mix_seed;
+using compreg::tools::parse_kind;
 using compreg::tools::run_replica_child;
 using compreg::net::real::TransportKind;
 
@@ -75,8 +77,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (!std::strcmp(argv[i], "--kind")) {
-      cfg.kind = !std::strcmp(next("--kind"), "tcp") ? TransportKind::kTcp
-                                                     : TransportKind::kUds;
+      cfg.kind = parse_kind(next("--kind"));
     } else if (!std::strcmp(argv[i], "--f")) {
       cfg.f = std::atoi(next("--f"));
     } else if (!std::strcmp(argv[i], "--dir")) {
@@ -158,8 +159,7 @@ int main(int argc, char** argv) {
   ::sigaction(SIGINT, &sa, nullptr);
 
   std::printf("compreg_server: serving (kind=%s f=%d max_inflight=%u)\n",
-              cfg.kind == TransportKind::kTcp ? "tcp" : "uds", cfg.f,
-              cfg.max_inflight);
+              kind_name(cfg.kind), cfg.f, cfg.max_inflight);
   std::fflush(stdout);
 
   Server server(cfg);

@@ -1,14 +1,13 @@
 // Shared replica-fleet harness plumbing for the real-transport tools.
 //
-// verify_net_real, compreg_server and compreg_loadgen all need the same
-// three pieces: a `--replica` child mode (the spawned binary re-executes
+// compreg_loadgen (both its service mode and its `--direct` mode),
+// compreg_server and perfbench's service workload all need the same
+// pieces: a `--replica` child mode (the spawned binary re-executes
 // itself as a replica event loop), a Fleet wrapper around the Supervisor
-// that spawns 2f+1 replicas and parses the shared audit.log, and the
+// that spawns 2f+1 replicas and parses the shared audit.log, the
 // fleet-epoch timestamp helpers that let child processes agree with the
-// harness on one monotonic time origin. Extracted here so the register
-// service tools (tools/compreg_server.cpp, tools/compreg_loadgen.cpp)
-// reuse the exact harness the transport certifier was built on instead
-// of drifting copies.
+// harness on one monotonic time origin, and the one `--kind` spelling
+// every parser accepts.
 #pragma once
 
 #include <cinttypes>
@@ -50,6 +49,19 @@ inline std::int64_t epoch_to_ns(SteadyPoint epoch) {
       .count();
 }
 
+// The one `--kind` spelling: "uds" or "tcp". Anything else is a usage
+// error (exit 64), never a guessed transport.
+inline net::real::TransportKind parse_kind(const char* text) {
+  if (!std::strcmp(text, "uds")) return net::real::TransportKind::kUds;
+  if (!std::strcmp(text, "tcp")) return net::real::TransportKind::kTcp;
+  std::fprintf(stderr, "bad --kind %s (uds or tcp)\n", text);
+  std::exit(kExitUsage);
+}
+
+inline const char* kind_name(net::real::TransportKind kind) {
+  return kind == net::real::TransportKind::kTcp ? "tcp" : "uds";
+}
+
 // ---------------------------------------------------------------------------
 // Replica child mode: `<tool> --replica --node N ...`
 //
@@ -76,9 +88,7 @@ inline int run_replica_child(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--dir")) {
       cfg.data_dir = next();
     } else if (!std::strcmp(argv[i], "--kind")) {
-      cfg.transport.kind = !std::strcmp(next(), "tcp")
-                               ? net::real::TransportKind::kTcp
-                               : net::real::TransportKind::kUds;
+      cfg.transport.kind = parse_kind(next());
     } else if (!std::strcmp(argv[i], "--base-port")) {
       cfg.transport.base_port = static_cast<std::uint16_t>(std::atoi(next()));
     } else if (!std::strcmp(argv[i], "--epoch-ns")) {
@@ -120,9 +130,6 @@ struct FleetConfig {
   std::string replica_bin = kSelfExe;  // binary spawned with --replica
 
   int replicas() const { return 2 * f + 1; }
-  const char* kind_name() const {
-    return kind == net::real::TransportKind::kTcp ? "tcp" : "uds";
-  }
 };
 
 struct AuditStart {
@@ -161,7 +168,7 @@ class Fleet {
         "--node", std::to_string(node),
         "--f", std::to_string(cfg_.f),
         "--dir", dir_,
-        "--kind", cfg_.kind_name(),
+        "--kind", kind_name(cfg_.kind),
         "--base-port", std::to_string(cfg_.base_port),
         "--epoch-ns", std::to_string(epoch_to_ns(epoch_)),
         "--seed", std::to_string(mix_seed(cfg_.seed, 100 + node)),

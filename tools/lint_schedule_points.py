@@ -59,7 +59,8 @@ EXEMPT_DIRS = {
         "where the labeled-schedule-point discipline stops by design; "
         "the protocol it drives is net/abd_core.h, which DPOR and the "
         "amnesia mutants cover through the simulator, so only the "
-        "socket transport is left to verify_net_real chaos/kill-9 runs"
+        "socket transport is left to compreg_loadgen --direct chaos/kill-9 "
+        "runs"
     ),
 }
 
