@@ -228,7 +228,7 @@ class HazardCell {
     // at most readers_ nodes stay retired afterwards. Every retired node
     // left current_ in an earlier write's exchange, so the scan runs
     // after its retirement, as the hazard argument needs.
-    // sched-lint: exempt(reclamation, not communication - see below)
+    // audit: exempt(schedpoint, reclamation, not communication - see below)
     // The hazard scan's outcome decides which retired nodes are recycled
     // but never any value a process observes: readers publish only to
     // their own slot, and the caller (write) has already announced its

@@ -178,7 +178,7 @@ struct DporResult {
   DporStats stats;
   bool ok = true;
   // Full trace of the canonically-first failing execution when !ok;
-  // replayable with ScriptPolicy (or verify_dpor --schedule) — the
+  // replayable with ScriptPolicy (or verify_schedules --schedule) — the
   // replay does not need the symmetry or jobs settings.
   std::vector<int> violation_schedule;
 

@@ -9,9 +9,9 @@
 // This enumerator is NOT a certification engine: it lives in
 // sched::oracle and exists solely as the independent ground truth that
 // the DPOR engine (sched/dpor.h) is cross-validated against
-// (tests/analysis/dpor_cross_test.cpp, verify_dpor --cross-validate)
+// (tests/analysis/dpor_cross_test.cpp, verify_schedules --cross-validate)
 // and as the baseline row in bench/bench_dpor.cpp. All certification —
-// CI certificates, verify_dpor, chaos upgrades — goes through
+// CI certificates, verify_schedules, chaos upgrades — goes through
 // explore_dpor. Do not add new callers outside oracles and benchmarks.
 #pragma once
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Unit tests for tools/analyze/cpplex.py — the shared C++ lexer under
-the static auditor and lint_schedule_points.
+every pass of the static auditor.
 
 Covers the guarantees the passes rely on: line-structure-preserving
 comment/string/raw-string stripping, brace-scope matching that survives

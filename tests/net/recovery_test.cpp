@@ -4,7 +4,7 @@
 // without reloading or catching up) — while the correct implementation
 // runs the same crash schedules silently. A bounded DPOR exploration
 // over the net substrate finds the ack mutant too, mirroring what
-// `verify_dpor --impl net --amnesia ack` certifies at tool scale.
+// `verify_schedules --impl net --amnesia ack` certifies at tool scale.
 #include <gtest/gtest.h>
 
 #include <cstdint>

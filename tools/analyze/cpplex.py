@@ -1,10 +1,10 @@
 """cpplex: the shared comment/string-stripping C++ lexer and brace-scope
 parser behind the repo's static-analysis tooling.
 
-This is the machinery PR 6's lint_schedule_points.py proved out,
-factored into a package so every pass of tools/analyze (wait-freedom,
-blocking calls, memory orders, struct layout) and the schedule-point
-lint parse the implementation trees the same way. It is deliberately
+It grew out of the schedule-point lint (now the `schedpoint` pass),
+factored into a module so every pass of tools/analyze (wait-freedom,
+blocking calls, memory orders, struct layout, schedule points) parses
+the implementation trees the same way. It is deliberately
 NOT a real C++ front end: it strips comments and literals while
 preserving line structure, matches braces into scopes, and classifies
 scope headers as function-like or not. That is enough to attribute a
