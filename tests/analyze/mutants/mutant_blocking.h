@@ -5,6 +5,8 @@
 //
 // This header is never compiled into the build; it exists only as
 // analyzer input.
+//
+// audit: exempt(schedpoint, blocking mutant, never run by the simulator)
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,8 @@
 //
 // This header is never compiled into the build; it exists only as
 // analyzer input.
+//
+// audit: exempt(schedpoint, waitfree mutant, never run by the simulator)
 #pragma once
 
 #include <atomic>
