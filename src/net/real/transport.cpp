@@ -5,10 +5,12 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -37,6 +39,10 @@ int make_socket(TransportKind kind) {
 SocketTransport::SocketTransport(TransportConfig cfg) : cfg_(std::move(cfg)) {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   COMPREG_CHECK(epoll_fd_ >= 0, "epoll_create1 failed (errno %d)", errno);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  COMPREG_CHECK(wake_fd_ >= 0, "eventfd failed (errno %d)", errno);
+  COMPREG_CHECK(watch(EPOLL_CTL_ADD, wake_fd_, EPOLLIN),
+                "epoll_ctl(eventfd) failed (errno %d)", errno);
   if (cfg_.self >= cfg_.replicas) return;  // clients are outbound-only
 
   listen_fd_ = make_socket(cfg_.kind);
@@ -67,16 +73,14 @@ SocketTransport::SocketTransport(TransportConfig cfg) : cfg_(std::move(cfg)) {
   }
   COMPREG_CHECK(::listen(listen_fd_, 128) == 0, "listen failed (errno %d)",
                 errno);
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  COMPREG_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) == 0,
+  COMPREG_CHECK(watch(EPOLL_CTL_ADD, listen_fd_, EPOLLIN),
                 "epoll_ctl(listen) failed (errno %d)", errno);
 }
 
 SocketTransport::~SocketTransport() {
   for (auto& [fd, conn] : conns_) ::close(fd);
   if (listen_fd_ >= 0) ::close(listen_fd_);
+  if (wake_fd_ >= 0) ::close(wake_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (!listen_path_.empty()) ::unlink(listen_path_.c_str());
 }
@@ -114,10 +118,7 @@ int SocketTransport::dial(int dst) {
   conn.fd = fd;
   conn.peer = dst;
   conn.connecting = in_progress;
-  epoll_event ev{};
-  ev.events = EPOLLIN | (in_progress ? EPOLLOUT : 0u);
-  ev.data.fd = fd;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+  if (!watch(EPOLL_CTL_ADD, fd, EPOLLIN | (in_progress ? EPOLLOUT : 0u))) {
     ::close(fd);
     return -1;
   }
@@ -179,12 +180,16 @@ void SocketTransport::flush_writes(int fd) {
   }
 }
 
-void SocketTransport::update_epoll(int fd, Conn& conn) {
+bool SocketTransport::watch(int op, int fd, std::uint32_t events) {
   epoll_event ev{};
-  ev.events =
-      EPOLLIN | ((conn.connecting || conn.want_write) ? EPOLLOUT : 0u);
+  ev.events = events;
   ev.data.fd = fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
+  return ::epoll_ctl(epoll_fd_, op, fd, &ev) == 0;
+}
+
+void SocketTransport::update_epoll(int fd, Conn& conn) {
+  watch(EPOLL_CTL_MOD, fd,
+        EPOLLIN | ((conn.connecting || conn.want_write) ? EPOLLOUT : 0u));
 }
 
 void SocketTransport::handle_readable(int fd) {
@@ -260,63 +265,85 @@ void SocketTransport::close_conn(int fd, bool reset) {
   if (reset) ++stats_.resets;
 }
 
-std::optional<Delivery> SocketTransport::poll(const Deadline& deadline) {
-  while (true) {
-    if (!inbox_.empty()) {
-      Delivery d = std::move(inbox_.front());
-      inbox_.pop_front();
-      ++stats_.delivered;
-      return d;
-    }
-    const int timeout_ms = deadline.remaining_ms_ceil();
-    epoll_event events[32];
-    const int n = ::epoll_wait(epoll_fd_, events, 32, timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return std::nullopt;
-    }
-    if (n == 0) {
-      if (deadline.expired()) return std::nullopt;
-      continue;  // rounded-up timeout fired early; re-check the clock
-    }
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == listen_fd_) {
-        while (true) {
-          const int cfd = ::accept4(listen_fd_, nullptr, nullptr,
-                                    SOCK_NONBLOCK | SOCK_CLOEXEC);
-          if (cfd < 0) break;
-          Conn conn;
-          conn.fd = cfd;
-          epoll_event ev{};
-          ev.events = EPOLLIN;
-          ev.data.fd = cfd;
-          if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, cfd, &ev) != 0) {
-            ::close(cfd);
-            continue;
-          }
-          conns_.emplace(cfd, std::move(conn));
-          ++stats_.accepts;
-        }
-        continue;
-      }
-      if (conns_.count(fd) == 0) continue;  // closed earlier this batch
-      if ((events[i].events & EPOLLIN) != 0) handle_readable(fd);
-      if (conns_.count(fd) != 0 && (events[i].events & EPOLLOUT) != 0) {
-        handle_writable(fd);
-      }
-      if (conns_.count(fd) != 0 &&
-          (events[i].events & (EPOLLERR | EPOLLHUP)) != 0 &&
-          (events[i].events & (EPOLLIN | EPOLLOUT)) == 0) {
-        close_conn(fd, /*reset=*/true);
-      }
-    }
-    // Re-check the budget after processing a batch: with a zero (or
-    // tiny) timeout and a level-triggered event that stays ready, the
-    // n == 0 branch above may never be taken — without this check a
-    // poll-with-expired-deadline would spin instead of returning.
-    if (inbox_.empty() && deadline.expired()) return std::nullopt;
+void SocketTransport::wake() {
+  const int saved = errno;
+  const std::uint64_t one = 1;
+  // Cannot fail short of a counter overflow, which still leaves it
+  // readable: the wake is not lost either way.
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+  errno = saved;
+}
+
+bool SocketTransport::flush(std::chrono::milliseconds bound) {
+  const Deadline deadline = Deadline::after(bound);
+  while (std::any_of(conns_.begin(), conns_.end(), [](const auto& kv) {
+    return kv.second.out_pos < kv.second.outbox.size();
+  })) {
+    if (deadline.expired()) return false;
+    pump(deadline.remaining_ms_ceil());
   }
+  return true;
+}
+
+bool SocketTransport::pump(int timeout_ms) {
+  epoll_event events[32];
+  const int n = ::epoll_wait(epoll_fd_, events, 32, timeout_ms);
+  COMPREG_CHECK(n >= 0 || errno == EINTR, "epoll_wait failed (errno %d)",
+                errno);
+  bool woken = false;
+  for (int i = 0; i < n; ++i) {
+    const int fd = events[i].data.fd;
+    if (fd == wake_fd_) {
+      std::uint64_t count = 0;  // drained whole: wakes do not queue
+      [[maybe_unused]] const ssize_t r =
+          ::read(wake_fd_, &count, sizeof(count));
+      woken = true;
+      continue;
+    }
+    if (fd == listen_fd_) {
+      while (true) {
+        const int cfd = ::accept4(listen_fd_, nullptr, nullptr,
+                                  SOCK_NONBLOCK | SOCK_CLOEXEC);
+        if (cfd < 0) break;
+        Conn conn;
+        conn.fd = cfd;
+        if (!watch(EPOLL_CTL_ADD, cfd, EPOLLIN)) {
+          ::close(cfd);
+          continue;
+        }
+        conns_.emplace(cfd, std::move(conn));
+        ++stats_.accepts;
+      }
+      continue;
+    }
+    if (conns_.count(fd) == 0) continue;  // closed earlier this batch
+    if ((events[i].events & EPOLLIN) != 0) handle_readable(fd);
+    if (conns_.count(fd) != 0 && (events[i].events & EPOLLOUT) != 0) {
+      handle_writable(fd);
+    }
+    if (conns_.count(fd) != 0 &&
+        (events[i].events & (EPOLLERR | EPOLLHUP)) != 0 &&
+        (events[i].events & (EPOLLIN | EPOLLOUT)) == 0) {
+      close_conn(fd, /*reset=*/true);
+    }
+  }
+  return woken;
+}
+
+std::optional<Delivery> SocketTransport::poll(const Deadline& deadline) {
+  while (inbox_.empty()) {
+    // The deadline is re-checked after every round, not only when
+    // epoll_wait times out: with a zero (or tiny) timeout and a
+    // level-triggered event that stays ready, epoll_wait may never time
+    // out, and an expired poll would spin instead of returning. A
+    // rounded-up timeout that fires early just loops.
+    const bool woken = pump(deadline.remaining_ms_ceil());
+    if (inbox_.empty() && (woken || deadline.expired())) return std::nullopt;
+  }
+  Delivery d = std::move(inbox_.front());
+  inbox_.pop_front();
+  ++stats_.delivered;
+  return d;
 }
 
 }  // namespace compreg::net::real

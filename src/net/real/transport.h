@@ -21,9 +21,12 @@
 // peer is counted and discarded, never an error, exactly the asynchronous
 // fair-lossy network the ABD protocol is designed for. Each endpoint
 // (one replica process, or one client thread) owns its own
-// SocketTransport; instances are single-threaded and never shared.
+// SocketTransport; instances are single-threaded and never shared, with
+// one exception: wake() is safe from any thread and from a signal
+// handler.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -100,6 +103,18 @@ class SocketTransport final : public Transport {
   std::optional<Delivery> poll(const Deadline& deadline) override;
   TransportStats& stats() override { return stats_; }
 
+  // Makes the current or the next poll() return at once: with a
+  // delivery if one is ready, else nullopt. The only call that is safe
+  // from another thread or a signal handler (one eventfd write, which
+  // preserves errno). Wakes do not queue: several before one poll()
+  // end that one poll.
+  void wake();
+
+  // Drives I/O until every queued outbound byte has reached the kernel,
+  // or `bound` passes. Frames that arrive meanwhile stay queued; a wake
+  // is used up. True when everything was flushed.
+  bool flush(std::chrono::milliseconds bound);
+
  private:
   struct Conn {
     int fd = -1;
@@ -112,16 +127,19 @@ class SocketTransport final : public Transport {
   };
 
   int dial(int dst);  // returns fd or -1 (unreachable now)
+  bool pump(int timeout_ms);  // one epoll round; true if it took a wake
   void flush_writes(int fd);
   void handle_readable(int fd);
   void handle_writable(int fd);
   void close_conn(int fd, bool reset);
+  bool watch(int op, int fd, std::uint32_t events);  // epoll_ctl
   void update_epoll(int fd, Conn& conn);
   void drain_frames(int fd);
 
   TransportConfig cfg_;
   int epoll_fd_ = -1;
   int listen_fd_ = -1;
+  int wake_fd_ = -1;  // eventfd in the epoll set; see wake()
   std::string listen_path_;  // UDS only: unlinked on destruction
   std::unordered_map<int, Conn> conns_;  // by fd
   std::unordered_map<int, int> peer_fd_;  // logical node id -> fd

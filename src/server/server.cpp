@@ -1,10 +1,12 @@
 #include "server/server.h"
 
-#include <cstdio>
+#include <chrono>
+#include <optional>
 #include <thread>
-#include <utility>
+#include <vector>
 
 #include "net/net_plan.h"
+#include "net/real/client.h"
 #include "net/real/fault_transport.h"
 #include "util/assert.h"
 
@@ -42,114 +44,105 @@ std::uint64_t phases(const RealClientStats& s) {
   return s.writes + s.reads + s.writebacks;
 }
 
+// One worker's connection to the fleet: its own socket endpoint `node`,
+// the configured client-side fault plan over it (an empty plan text
+// parses to no plan), and an ABD client over both.
+struct FleetLink {
+  SocketTransport sock;
+  FaultyTransport net;
+  RealAbdClient client;
+
+  FleetLink(const ServerConfig& cfg, int node, std::uint64_t salt)
+      : sock(TransportConfig{cfg.kind, node, cfg.replicas(), cfg.fleet_dir,
+                             static_cast<std::uint16_t>(cfg.fleet_base_port)}),
+        net(sock, NetFaultPlan::parse(cfg.plan_text).value_or(NetFaultPlan{}),
+            cfg.seed ^ salt, epoch_point(cfg.epoch_ns)),
+        client(net, client_config(cfg), epoch_point(cfg.epoch_ns)) {}
+
+  static RealClientConfig client_config(const ServerConfig& cfg) {
+    RealClientConfig c;
+    c.f = cfg.f;
+    c.attempt_timeout = std::chrono::milliseconds(cfg.attempt_ms);
+    c.max_attempts = cfg.max_attempts;
+    c.jitter_seed = cfg.seed ^ 0x5eb7e17ull;
+    return c;
+  }
+};
+
 }  // namespace
 
+// The front-end listens as node 0 of its own namespace, alone.
 Server::Server(const ServerConfig& cfg)
-    : cfg_(cfg), admission_(cfg.max_inflight) {}
+    : cfg_(cfg),
+      admission_(cfg.max_inflight),
+      front_(TransportConfig{
+          cfg.kind, 0, 1, cfg.front_dir,
+          static_cast<std::uint16_t>(cfg.front_base_port)}) {}
 
-RealClientConfig Server::fleet_client_config() const {
-  RealClientConfig c;
-  c.f = cfg_.f;
-  c.attempt_timeout = std::chrono::milliseconds(cfg_.attempt_ms);
-  c.max_attempts = cfg_.max_attempts;
-  c.jitter_seed = cfg_.seed ^ 0x5eb7e17ull;
-  return c;
-}
-
-net::real::TransportConfig Server::fleet_transport_config(int node) const {
-  TransportConfig c;
-  c.kind = cfg_.kind;
-  c.self = node;
-  c.replicas = cfg_.replicas();
-  c.dir = cfg_.fleet_dir;
-  c.base_port = static_cast<std::uint16_t>(cfg_.fleet_base_port);
-  return c;
+void Server::stop() {
+  // Relaxed: the flag is a level-triggered latch, and the wake makes the
+  // front-end look at it; no other state rides on its ordering.
+  stop_.store(true, std::memory_order_relaxed);
+  front_.wake();
 }
 
 void Server::complete(const Completion& c) {
-  std::lock_guard<std::mutex> lock(done_mu_);
-  done_.push_back(c);
-}
-
-std::vector<Server::Completion> Server::take_completions() {
-  std::lock_guard<std::mutex> lock(done_mu_);
-  std::vector<Completion> out;
-  out.swap(done_);
-  return out;
+  if (done_.put(c)) front_.wake();
 }
 
 void Server::write_worker_main() {
-  SocketTransport sock(fleet_transport_config(cfg_.replicas()));
-  const NetFaultPlan plan =
-      cfg_.plan_text.empty()
-          ? NetFaultPlan{}
-          : NetFaultPlan::parse(cfg_.plan_text).value_or(NetFaultPlan{});
-  const SteadyPoint epoch = epoch_point(cfg_.epoch_ns);
-  FaultyTransport net(sock, plan, cfg_.seed ^ 0x77121ull, epoch);
-  RealAbdClient client(net, fleet_client_config(), epoch);
+  FleetLink link(cfg_, cfg_.replicas(), 0x77121ull);
+  RealAbdClient& client = link.client;
   Recorder* rec = registry_.attach();
   COMPREG_CHECK(rec != nullptr, "telemetry registry full");
 
   // Seed the write-timestamp sequence from the fleet's current state so
   // a server fronting a non-empty fleet continues the sequence instead
-  // of colliding with it. A fresh fleet answers ts=0.
-  std::uint64_t next_ts = 0;
-  for (int i = 0; i < 10; ++i) {
+  // of colliding with it (a fresh fleet answers ts=0). Until a seeding
+  // collect succeeds, every write retries it once: no write gets a
+  // timestamp from an unseeded sequence.
+  std::optional<std::uint64_t> last_ts;
+  const auto seed = [&] {
     const auto r = client.try_read();
-    if (r.ok) {
-      next_ts = r.ts;
-      break;
-    }
-  }
+    if (r.ok) last_ts = r.ts;
+  };
+  seed();
   RealClientStats last = client.stats();
 
   while (true) {
-    PendingWrite op;
-    std::size_t depth = 0;
-    {
-      std::unique_lock<std::mutex> lock(write_mu_);
-      write_cv_.wait(lock,
-                     [&] { return !write_queue_.empty() || write_stop_; });
-      if (write_queue_.empty()) break;  // stopped and drained
-      op = write_queue_.front();
-      write_queue_.pop_front();
-      depth = write_queue_.size();
+    const std::vector<Admitted> batch = writes_.take();
+    if (batch.empty()) break;  // stopped and drained
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const Admitted& op = batch[i];
+      rec->count(Counter::kWritesDequeued);
+      rec->record(Histo::kQueueDepth, batch.size() - 1 - i);
+      if (!last_ts) seed();
+      // Unseeded: Unavailable with ts 0, never sent, so no effect. Sent
+      // but unacknowledged: Unavailable with its timestamp, because the
+      // value may yet take effect.
+      Completion c{op, Status::kUnavailable, 0, op.req.val};
+      if (last_ts) {
+        c.ts = ++*last_ts;
+        if (client.try_write(c.ts, op.req.val)) c.status = Status::kOk;
+      }
+      const RealClientStats& s = client.stats();
+      rec->count(Counter::kRetries, s.retries - last.retries);
+      rec->count(Counter::kQuorumRounds, phases(s) - phases(last));
+      last = s;
+      complete(c);
     }
-    rec->count(Counter::kWritesDequeued);
-    rec->record(Histo::kQueueDepth, depth);
-
-    ++next_ts;
-    const bool ok = client.try_write(next_ts, op.req.val);
-    const RealClientStats& s = client.stats();
-    rec->count(Counter::kRetries, s.retries - last.retries);
-    rec->count(Counter::kQuorumRounds, phases(s) - phases(last));
-    last = s;
-
-    Completion c;
-    c.req = op.req;
-    c.status = ok ? Status::kOk : Status::kUnavailable;
-    c.ts = next_ts;  // Unavailable writes still report their timestamp
-    c.val = op.req.val;
-    c.t0 = op.t0;
-    complete(c);
   }
 }
 
 void Server::read_worker_main() {
-  SocketTransport sock(fleet_transport_config(cfg_.replicas() + 1));
-  const NetFaultPlan plan =
-      cfg_.plan_text.empty()
-          ? NetFaultPlan{}
-          : NetFaultPlan::parse(cfg_.plan_text).value_or(NetFaultPlan{});
-  const SteadyPoint epoch = epoch_point(cfg_.epoch_ns);
-  FaultyTransport net(sock, plan, cfg_.seed ^ 0x4ead2ull, epoch);
-  RealAbdClient client(net, fleet_client_config(), epoch);
+  FleetLink link(cfg_, cfg_.replicas() + 1, 0x4ead2ull);
+  RealAbdClient& client = link.client;
   Recorder* rec = registry_.attach();
   COMPREG_CHECK(rec != nullptr, "telemetry registry full");
   RealClientStats last = client.stats();
 
   while (true) {
-    const std::vector<ReadBatcher::Item> batch = batcher_.take_batch();
+    const std::vector<Admitted> batch = reads_.take();
     if (batch.empty()) break;  // stopped and drained
 
     // One shared quorum collect for the whole batch. It starts after
@@ -164,27 +157,14 @@ void Server::read_worker_main() {
     rec->count(Counter::kBatchedReads, batch.size());
     rec->record(Histo::kBatchOccupancy, batch.size());
 
-    for (const ReadBatcher::Item& item : batch) {
-      Completion c;
-      c.req = item.req;
-      c.status = r.ok ? Status::kOk : Status::kUnavailable;
-      c.ts = r.ts;
-      c.val = r.val;
-      c.t0 = item.t0;
-      complete(c);
+    const Status status = r.ok ? Status::kOk : Status::kUnavailable;
+    for (const Admitted& op : batch) {
+      complete(Completion{op, status, r.ts, r.val});
     }
   }
 }
 
-void Server::run(const std::atomic<bool>& stop) {
-  TransportConfig front_cfg;
-  front_cfg.kind = cfg_.kind;
-  front_cfg.self = 0;
-  front_cfg.replicas = 1;  // the server is the only listener up front
-  front_cfg.dir = cfg_.front_dir;
-  front_cfg.base_port = static_cast<std::uint16_t>(cfg_.front_base_port);
-  SocketTransport front(front_cfg);
-
+void Server::run() {
   Recorder* rec = registry_.attach();
   COMPREG_CHECK(rec != nullptr, "telemetry registry full");
 
@@ -193,45 +173,38 @@ void Server::run(const std::atomic<bool>& stop) {
 
   bool draining = false;
   while (true) {
-    // Relaxed: the stop flag is a level-triggered latch polled once per
-    // slice; no other state rides on its visibility ordering.
-    if (!draining && stop.load(std::memory_order_relaxed)) draining = true;
+    // Relaxed: see stop(); the wake, not the order, delivers the latch.
+    draining = draining || stop_.load(std::memory_order_relaxed);
+    if (draining && admission_.in_flight() == 0) break;
 
-    // One short I/O slice, then drain whatever already arrived.
-    auto d = front.poll(Deadline::after(std::chrono::milliseconds(1)));
-    while (d.has_value()) {
-      Request req;
-      if (decode_request(d->msg, req)) {
-        rec->count(Counter::kOpsReceived);
-        if (draining || !admission_.try_acquire()) {
-          // Typed backpressure: reject in one round trip, never queue
-          // unboundedly (and accept nothing new while draining).
-          rec->count(Counter::kBusy);
-          front.send(static_cast<int>(req.client),
-                     make_response(0, req, Status::kBusy, 0, 0));
-        } else {
-          const SteadyPoint t0 = std::chrono::steady_clock::now();
-          if (req.is_write) {
-            {
-              std::lock_guard<std::mutex> lock(write_mu_);
-              write_queue_.push_back(PendingWrite{req, t0});
-            }
-            write_cv_.notify_one();
-            rec->count(Counter::kWritesEnqueued);
-          } else {
-            batcher_.enqueue(ReadBatcher::Item{req, t0});
-          }
-        }
+    // Sleeps until a frame arrives or a wake(): a completion landed in
+    // an empty handoff, or stop(). A wake sent since the checks above is
+    // not lost: the eventfd stays readable until this poll drains it.
+    const auto d = front_.poll(Deadline::never());
+    Request req;
+    if (d && decode_request(d->msg, req)) {
+      rec->count(Counter::kOpsReceived);
+      if (draining || !admission_.try_acquire()) {
+        // Typed backpressure: reject in one round trip, never queue
+        // unboundedly (and accept nothing new while draining).
+        rec->count(Counter::kBusy);
+        front_.send(static_cast<int>(req.client),
+                    make_response(0, req, Status::kBusy, 0, 0));
+      } else if (req.is_write) {
+        writes_.put(Admitted{req, std::chrono::steady_clock::now()});
+        rec->count(Counter::kWritesEnqueued);
+      } else {
+        reads_.put(Admitted{req, std::chrono::steady_clock::now()});
       }
-      d = front.poll(Deadline::after(std::chrono::milliseconds(0)));
     }
 
-    for (const Completion& c : take_completions()) {
-      front.send(static_cast<int>(c.req.client),
-                 make_response(0, c.req, c.status, c.ts, c.val));
+    for (const Completion& c : done_.try_take()) {
+      const Request& r = c.op.req;
+      front_.send(static_cast<int>(r.client),
+                  make_response(0, r, c.status, c.ts, c.val));
       admission_.release();
-      const std::uint64_t us = us_since(c.t0);
-      if (c.req.is_write) {
+      const std::uint64_t us = us_since(c.op.t0);
+      if (r.is_write) {
         rec->count(c.status == Status::kOk ? Counter::kWritesOk
                                            : Counter::kUnavailable);
         rec->record(Histo::kWriteLatencyUs, us);
@@ -241,24 +214,17 @@ void Server::run(const std::atomic<bool>& stop) {
         rec->record(Histo::kReadLatencyUs, us);
       }
     }
-
-    if (draining && admission_.in_flight() == 0) break;
   }
 
-  {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    write_stop_ = true;
-  }
-  write_cv_.notify_all();
-  batcher_.stop();
+  writes_.stop();
+  reads_.stop();
   writer.join();
   reader.join();
 
-  // A few extra slices so buffered response frames reach the kernel
-  // before the transport (and its connections) are torn down.
-  for (int i = 0; i < 50; ++i) {
-    front.poll(Deadline::after(std::chrono::milliseconds(2)));
-  }
+  // Every response is queued on its connection by now. Hand the bytes to
+  // the kernel before returning, bounded so that a client that stopped
+  // reading cannot hold shutdown.
+  front_.flush(std::chrono::milliseconds(100));
 }
 
 Server::Conservation Server::conservation() const {

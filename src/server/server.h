@@ -1,23 +1,28 @@
 // The standing register service: many clients, one ABD writer funnel.
 //
-// Three threads, each owning its own single-threaded SocketTransport:
+// Three threads, each owning its own single-threaded SocketTransport,
+// joined by three Batcher handoffs (server/read_batch.h):
 //
 //   front-end (the thread calling run()): drives the client-facing
 //     transport (node 0 of its own namespace; clients are anonymous
 //     peers identified by their frame src), decodes requests, applies
 //     admission control (bounded in-flight, Busy beyond the bound),
-//     routes writes to the write worker and reads to the ReadBatcher,
+//     routes writes to the write worker and reads to the read worker,
 //     and sends every completed response back on the client's
-//     connection;
+//     connection. It sleeps in epoll until a frame arrives or a wake():
+//     a worker's completion landing in an empty handoff, or stop(). No
+//     timer paces it;
 //
 //   write worker: owns a RealAbdClient against the 2f+1 fleet and is
 //     the SINGLE ABD WRITER — every client write is assigned the next
-//     timestamp of one monotone sequence (seeded from an initial
-//     collect, so a server fronting a non-empty fleet continues, not
-//     restarts, the sequence) and performed one at a time. Timestamp
-//     order therefore IS the write serialization order, which is what
-//     the funneled atomicity checker (lin/register_checker.h) verifies
-//     against client-observed intervals;
+//     timestamp of one monotone sequence (seeded from a fleet collect,
+//     so a server fronting a non-empty fleet continues, not restarts,
+//     the sequence) and performed one at a time, in arrival order.
+//     Timestamp order therefore IS the write serialization order, which
+//     is what the funneled atomicity checker (lin/register_checker.h)
+//     verifies against client-observed intervals. Until a seeding
+//     collect succeeds, each write retries it once and answers
+//     Unavailable with ts 0 (never sent, no effect) if it fails;
 //
 //   read worker: owns a second RealAbdClient and serves reads in
 //     batches — it swaps out the entire pending-read queue and answers
@@ -34,19 +39,14 @@
 // Every thread carries an always-on telemetry recorder
 // (src/telemetry/); shutdown drains in-flight ops to zero before
 // stopping the workers, so the final snapshot satisfies conservation:
-// ops_received == writes_ok + reads_ok + unavailable + busy.
+// ops_received == writes_ok + reads_ok + unavailable + busy. It then
+// flushes every connection's outbox, bounded, before returning.
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <vector>
 
-#include "net/real/client.h"
 #include "net/real/transport.h"
 #include "server/admission.h"
 #include "server/protocol.h"
@@ -83,14 +83,21 @@ struct ServerConfig {
 
 class Server {
  public:
+  // Binds the client-facing socket.
   explicit Server(const ServerConfig& cfg);
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Serves until `stop` becomes true, then drains every admitted op,
-  // stops the workers, and returns. The calling thread is the front-end.
-  void run(const std::atomic<bool>& stop);
+  // Serves until stop(), then drains every admitted op, stops the
+  // workers, flushes the responses, and returns. The calling thread is
+  // the front-end.
+  void run();
+
+  // Ends run(). Safe from any thread and from a signal handler (an
+  // atomic store and an eventfd write); a stop() before run() makes
+  // run() return at once.
+  void stop();
 
   telemetry::Registry& registry() { return registry_; }
 
@@ -106,40 +113,26 @@ class Server {
   Conservation conservation() const;
 
  private:
-  using SteadyPoint = std::chrono::steady_clock::time_point;
-
-  struct PendingWrite {
-    Request req;
-    SteadyPoint t0;
-  };
   struct Completion {
-    Request req;
+    Admitted op;
     Status status = Status::kOk;
     std::uint64_t ts = 0;
     std::uint64_t val = 0;
-    SteadyPoint t0{};
   };
 
   void write_worker_main();
   void read_worker_main();
-  net::real::RealClientConfig fleet_client_config() const;
-  net::real::TransportConfig fleet_transport_config(int node) const;
 
   void complete(const Completion& c);
-  std::vector<Completion> take_completions();
 
   ServerConfig cfg_;
   telemetry::Registry registry_;
   AdmissionGate admission_;
-  ReadBatcher batcher_;
-
-  std::mutex write_mu_;
-  std::condition_variable write_cv_;
-  std::deque<PendingWrite> write_queue_;
-  bool write_stop_ = false;
-
-  std::mutex done_mu_;
-  std::vector<Completion> done_;
+  net::real::SocketTransport front_;
+  std::atomic<bool> stop_{false};
+  Batcher<Admitted> reads_;
+  Batcher<Admitted> writes_;
+  Batcher<Completion> done_;
 };
 
 }  // namespace compreg::server

@@ -1,18 +1,20 @@
 // Unit coverage for the real-transport building blocks that can be
-// tested single-threaded and in-process: the wire format, the stream
-// frame reassembler, file-backed durability, loopback socket delivery
-// (UDS and TCP), and the FaultyTransport decorator's drop/partition
-// behavior. The multi-process, kill-9 behavior is covered by
-// `tools/compreg_loadgen --direct`, not here.
+// tested in-process: the wire format, the stream frame reassembler,
+// file-backed durability, loopback socket delivery (UDS and TCP), the
+// cross-thread wake() and the bounded flush(), and the FaultyTransport
+// decorator's drop/partition behavior. The multi-process, kill-9
+// behavior is covered by `tools/compreg_loadgen --direct`, not here.
 #include "net/real/transport.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/net_plan.h"
@@ -239,6 +241,69 @@ TEST(SocketTransportTest, SendToDeadPeerIsACountedDropNotAnError) {
   client.send(1, WireMsg{MsgType::kQuery, 3, 1, 0, 0});
   EXPECT_FALSE(client.poll(Deadline::after(milliseconds(50))).has_value());
   EXPECT_GE(client.stats().dropped_unreachable, 1u);
+}
+
+// wake() from another thread ends a poll that would otherwise block
+// forever, and returns nullopt: a wake-up, not a delivery.
+TEST(SocketTransportTest, WakeFromAnotherThreadEndsANeverPoll) {
+  ScratchDir dir;
+  SocketTransport t(TransportConfig{TransportKind::kUds, 0, 1, dir.path, 0});
+  std::atomic<bool> polling{false};
+  std::thread waker([&] {
+    while (!polling.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(milliseconds(20));
+    t.wake();
+  });
+  polling.store(true);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(t.poll(Deadline::never()).has_value());
+  waker.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, milliseconds(5000));
+  EXPECT_EQ(t.stats().delivered, 0u);
+}
+
+// A wake that comes before the poll is not lost; wakes do not queue, so
+// two of them end one poll and the next one waits out its deadline.
+TEST(SocketTransportTest, WakeBeforePollIsNotLost) {
+  ScratchDir dir;
+  SocketTransport t(TransportConfig{TransportKind::kUds, 3, 3, dir.path, 0});
+  t.wake();
+  t.wake();
+  EXPECT_FALSE(t.poll(Deadline::never()).has_value());
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(t.poll(Deadline::after(milliseconds(30))).has_value());
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, milliseconds(30));
+}
+
+// flush() returns as soon as the outbox has reached the kernel: at once
+// with nothing queued, and otherwise once the peer has read enough. A
+// peer that stops reading holds it only for the bound.
+TEST(SocketTransportTest, FlushReturnsWhenTheOutboxDrains) {
+  ScratchDir dir;
+  SocketTransport replica(
+      TransportConfig{TransportKind::kUds, 0, 1, dir.path, 0});
+  SocketTransport client(
+      TransportConfig{TransportKind::kUds, 1, 1, dir.path, 0});
+  EXPECT_TRUE(client.flush(milliseconds(0)));
+  // ~1 MB of frames: far more than the socket buffers hold, well under
+  // the outbox bound.
+  for (int i = 0; i < 20000; ++i) {
+    client.send(0, WireMsg{MsgType::kQuery, 1, std::uint64_t(i), 0, 0});
+  }
+  EXPECT_FALSE(client.flush(milliseconds(20)));  // nobody reads yet
+  std::atomic<bool> flushed{false};
+  std::uint64_t received = 0;
+  std::thread reader([&] {
+    while (!flushed.load()) {
+      if (replica.poll(Deadline::after(milliseconds(5)))) ++received;
+    }
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(client.flush(milliseconds(10000)));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, milliseconds(10000));
+  flushed.store(true);
+  reader.join();
+  EXPECT_GT(received, 0u);
 }
 
 TEST(FaultyTransportTest, FullLossDropsEverySend) {

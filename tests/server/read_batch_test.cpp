@@ -1,13 +1,17 @@
-// ReadBatcher tests: the batch is the swap-out of the whole pending
-// queue (items arriving after the swap wait for the next round), stop()
-// drains, and — the property the server's correctness rests on — a
-// collect started after the swap yields reads no staler than a fresh
+// Batcher tests. The read handoff: a batch is the swap-out of the whole
+// pending queue (items arriving after the swap wait for the next round),
+// stop() drains, and — the property the server's correctness rests on —
+// a collect started after the swap yields reads no staler than a fresh
 // collect, verified with the funneled register checker on histories
-// produced by driving the real batcher.
+// produced by driving the real batcher. The write handoff: batches
+// concatenate to the put order. The completion handoff: put() reports
+// the empty-to-nonempty transitions, and a consumer sleeping in poll()
+// that is woken on each of them receives every completion.
 #include "server/read_batch.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -18,12 +22,15 @@
 
 #include "lin/history.h"  // kPendingEnd
 #include "lin/register_checker.h"
+#include "net/real/transport.h"
 
 namespace compreg::server {
 namespace {
 
-ReadBatcher::Item item(std::uint32_t client, std::uint64_t op) {
-  ReadBatcher::Item it;
+using ReadBatcher = Batcher<Admitted>;
+
+Admitted item(std::uint32_t client, std::uint64_t op) {
+  Admitted it;
   it.req.is_write = false;
   it.req.client = client;
   it.req.op = op;
@@ -33,13 +40,12 @@ ReadBatcher::Item item(std::uint32_t client, std::uint64_t op) {
 
 TEST(ReadBatcherTest, TakeBatchSwapsEntireQueue) {
   ReadBatcher b;
-  b.enqueue(item(1, 1));
-  b.enqueue(item(2, 1));
-  b.enqueue(item(3, 1));
-  EXPECT_EQ(b.pending(), 3u);
-  const std::vector<ReadBatcher::Item> batch = b.take_batch();
+  b.put(item(1, 1));
+  b.put(item(2, 1));
+  b.put(item(3, 1));
+  const std::vector<Admitted> batch = b.take();
   ASSERT_EQ(batch.size(), 3u);
-  EXPECT_EQ(b.pending(), 0u);
+  EXPECT_TRUE(b.try_take().empty());
   EXPECT_EQ(batch[0].req.client, 1u);
   EXPECT_EQ(batch[2].req.client, 3u);
 }
@@ -48,20 +54,20 @@ TEST(ReadBatcherTest, LateArrivalsWaitForNextRound) {
   // A request that arrives after the swap must not join the in-flight
   // batch — it would be folded into a collect that predates it.
   ReadBatcher b;
-  b.enqueue(item(1, 1));
-  const auto first = b.take_batch();
+  b.put(item(1, 1));
+  const auto first = b.take();
   ASSERT_EQ(first.size(), 1u);
-  b.enqueue(item(2, 1));  // arrives "while the collect is in flight"
-  const auto second = b.take_batch();
+  b.put(item(2, 1));  // arrives "while the collect is in flight"
+  const auto second = b.take();
   ASSERT_EQ(second.size(), 1u);
   EXPECT_EQ(second[0].req.client, 2u);
 }
 
 TEST(ReadBatcherTest, TryTakeBatchNeverBlocks) {
   ReadBatcher b;
-  EXPECT_TRUE(b.try_take_batch().empty());
-  b.enqueue(item(7, 3));
-  const auto batch = b.try_take_batch();
+  EXPECT_TRUE(b.try_take().empty());
+  b.put(item(7, 3));
+  const auto batch = b.try_take();
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].req.client, 7u);
   EXPECT_EQ(batch[0].req.op, 3u);
@@ -71,31 +77,31 @@ TEST(ReadBatcherTest, TakeBatchBlocksUntilEnqueue) {
   ReadBatcher b;
   std::atomic<bool> got{false};
   std::thread worker([&] {
-    const auto batch = b.take_batch();
+    const auto batch = b.take();
     EXPECT_EQ(batch.size(), 1u);
     got.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(got.load());
-  b.enqueue(item(1, 1));
+  b.put(item(1, 1));
   worker.join();
   EXPECT_TRUE(got.load());
 }
 
 TEST(ReadBatcherTest, StopDrainsThenReturnsEmpty) {
   ReadBatcher b;
-  b.enqueue(item(1, 1));
-  b.enqueue(item(2, 2));
+  b.put(item(1, 1));
+  b.put(item(2, 2));
   b.stop();
   // Pending items are still handed out after stop...
-  EXPECT_EQ(b.take_batch().size(), 2u);
-  // ...and only then does take_batch report stopped-and-drained.
-  EXPECT_TRUE(b.take_batch().empty());
+  EXPECT_EQ(b.take().size(), 2u);
+  // ...and only then does take() report stopped-and-drained.
+  EXPECT_TRUE(b.take().empty());
 }
 
 TEST(ReadBatcherTest, StopWakesBlockedWorker) {
   ReadBatcher b;
-  std::thread worker([&] { EXPECT_TRUE(b.take_batch().empty()); });
+  std::thread worker([&] { EXPECT_TRUE(b.take().empty()); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   b.stop();
   worker.join();
@@ -141,7 +147,7 @@ TEST(ReadBatcherStalenessTest, BatchedCollectHistoryIsAtomic) {
   std::thread collector([&] {
     // One shared collect per batch: tick AFTER the swap, then read.
     while (true) {
-      const auto batch = b.take_batch();
+      const auto batch = b.take();
       if (batch.empty()) break;
       const std::uint64_t collect_start = reg.tick();
       const std::uint64_t seen = reg.current.load();
@@ -160,24 +166,24 @@ TEST(ReadBatcherStalenessTest, BatchedCollectHistoryIsAtomic) {
   // enqueue tick into req.op so the collector can recover the start.
   std::uint64_t next_op = 0;
   while (!stop_writer.load()) {
-    ReadBatcher::Item it;
+    Admitted it;
     it.req.is_write = false;
     it.req.client = 1;
     it.req.op = reg.tick();  // enqueue instant = read invocation start
     it.t0 = std::chrono::steady_clock::now();
-    b.enqueue(it);
+    b.put(it);
     ++next_op;
     if (next_op % 8 == 0) std::this_thread::yield();
   }
   // At least one read strictly after the final write completed — it
   // must observe the final value, which the checker will verify.
   {
-    ReadBatcher::Item it;
+    Admitted it;
     it.req.is_write = false;
     it.req.client = 1;
     it.req.op = reg.tick();
     it.t0 = std::chrono::steady_clock::now();
-    b.enqueue(it);
+    b.put(it);
   }
   b.stop();
   writer.join();
@@ -204,6 +210,80 @@ TEST(ReadBatcherStalenessTest, FoldingIntoPredatingCollectIsCaught) {
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.violation.find("overwritten"), std::string::npos)
       << result.violation;
+}
+
+// ---------------------------------------------------------------------------
+// The write handoff: the write worker writes each batch in order and
+// takes the next one after, so the batches must concatenate to exactly
+// the put order — timestamp order stays arrival order.
+
+TEST(BatcherTest, WriteBatchesConcatenateToPutOrder) {
+  Batcher<Admitted> b;
+  constexpr std::uint64_t kWrites = 2000;
+  std::thread front([&] {
+    for (std::uint64_t op = 1; op <= kWrites; ++op) {
+      Admitted w = item(1, op);
+      w.req.is_write = true;
+      b.put(w);
+      if (op % 16 == 0) std::this_thread::yield();
+    }
+    b.stop();
+  });
+  std::vector<std::uint64_t> order;
+  std::size_t batches = 0;
+  for (auto batch = b.take(); !batch.empty(); batch = b.take()) {
+    ++batches;
+    for (const Admitted& w : batch) order.push_back(w.req.op);
+  }
+  front.join();
+  ASSERT_EQ(order.size(), kWrites);
+  for (std::uint64_t i = 0; i < kWrites; ++i) EXPECT_EQ(order[i], i + 1);
+  EXPECT_GE(batches, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The completion handoff: the front-end sleeps in poll(), not on the
+// condvar, so a producer wakes it exactly when its put() lands in an
+// empty queue.
+
+TEST(BatcherTest, PutReportsEmptyToNonEmptyTransitions) {
+  Batcher<int> b;
+  EXPECT_TRUE(b.put(1));
+  EXPECT_FALSE(b.put(2));
+  EXPECT_EQ(b.try_take().size(), 2u);
+  EXPECT_TRUE(b.put(3));
+}
+
+TEST(BatcherTest, CompletionsWakeAPollingConsumer) {
+  // Two workers post completions and wake the consumer only on an
+  // empty-to-nonempty put, as Server::complete() does; the consumer
+  // sleeps in poll(Deadline::never()) between drains. A lost wake-up
+  // would hang this test instead of passing it.
+  net::real::TransportConfig cfg;
+  cfg.self = 1;
+  cfg.replicas = 1;  // a client endpoint: binds nothing
+  net::real::SocketTransport front(cfg);
+  Batcher<int> done;
+  constexpr int kPerWorker = 3000;
+  auto worker = [&](int base) {
+    for (int i = 0; i < kPerWorker; ++i) {
+      if (done.put(base + i)) front.wake();
+      if (i % 64 == 0) std::this_thread::yield();
+    }
+  };
+  std::thread w1(worker, 0);
+  std::thread w2(worker, kPerWorker);
+  std::vector<int> got;
+  while (got.size() < 2u * kPerWorker) {
+    for (int c : done.try_take()) got.push_back(c);
+    if (got.size() < 2u * kPerWorker) {
+      EXPECT_FALSE(front.poll(net::Deadline::never()).has_value());
+    }
+  }
+  w1.join();
+  w2.join();
+  std::sort(got.begin(), got.end());
+  for (int i = 0; i < 2 * kPerWorker; ++i) ASSERT_EQ(got[i], i);
 }
 
 }  // namespace

@@ -89,8 +89,8 @@ EXEMPT_DIRS = {
         "src/telemetry and are audited in full"
     ),
     ("src/server", "blocking"): (
-        "register service layer: ReadBatcher and the blocking client "
-        "use mutexes, condvars and socket waits on purpose; liveness is "
+        "register service layer: the Batcher handoffs and the blocking "
+        "client use mutexes, condvars and socket waits on purpose; liveness is "
         "wall-clock-bounded by attempt budgets and certified by the "
         "compreg_loadgen soak ctests, not by per-step wait-freedom"
     ),
@@ -109,7 +109,10 @@ EXEMPT_DIRS.update({
 EXEMPT_MARKER = re.compile(
     r"audit:\s*exempt\s*\(\s*([\w-]+)\s*,\s*([^)]*)\)"
 )
-EXEMPT_MALFORMED = re.compile(r"audit:\s*exempt\b(?!\s*\(\s*[\w-]+\s*,)")
+# A marker opens and closes on one line. Any other `audit: exempt` —
+# no parenthesis, no pass, or a reason wrapped onto the next comment
+# line — is malformed, never silently dropped.
+EXEMPT_MALFORMED = re.compile(r"audit:\s*exempt\b")
 
 
 class Exemption:
@@ -156,7 +159,7 @@ class AuditFile:
                     self._report.raw_finding(
                         "driver", self.rel, lineno, None,
                         "malformed audit marker; write "
-                        "audit: exempt(<pass>, <reason>)")
+                        "audit: exempt(<pass>, <reason>) on one line")
                 continue
             pass_name = m.group(1).strip()
             reason = m.group(2).strip()
@@ -355,7 +358,8 @@ def self_test(root):
               file=sys.stderr)
         return 64
     failures = []
-    for name in sorted(PASSES):
+    # `driver` is no pass, but its marker diagnostics get a mutant too.
+    for name in sorted(PASSES) + ["driver"]:
         primary = f"mutant_{name}.h"
         if not os.path.isfile(os.path.join(corpus, primary)):
             failures.append(f"missing mutant for pass `{name}`: "

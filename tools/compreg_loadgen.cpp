@@ -78,6 +78,7 @@
 #include "server/client.h"
 #include "server/protocol.h"
 #include "util/rng.h"
+#include "cli.h"
 #include "fleet_common.h"
 #include "verify_common.h"
 
@@ -110,9 +111,11 @@ using compreg::tools::FleetConfig;
 using compreg::tools::kExitUsage;
 using compreg::tools::kExitViolation;
 using compreg::tools::kind_name;
+using compreg::tools::kMaxPort;
 using compreg::tools::LiveState;
 using compreg::tools::mix_seed;
 using compreg::tools::parse_kind;
+using compreg::tools::parse_number;
 using compreg::tools::run_replica_child;
 using compreg::tools::SteadyPoint;
 using compreg::tools::Watchdog;
@@ -782,9 +785,13 @@ void client_main(const Options& opt, const std::string& front_dir,
           if (is_write) {
             // The assigned timestamp rode along: the write may yet take
             // effect, so it enters the history pending, exactly like a
-            // crashed writer's abandoned operation.
-            out.writes.push_back(RegWrite{resp->ts, start, kPendingEnd});
-            out.write_vals.push_back(val);
+            // crashed writer's abandoned operation. Timestamp 0 means
+            // none was assigned (the server had no fleet seed yet): the
+            // write was never sent and has no effect.
+            if (resp->ts != 0) {
+              out.writes.push_back(RegWrite{resp->ts, start, kPendingEnd});
+              out.write_vals.push_back(val);
+            }
             ++out.unavailable_writes;
           } else {
             ++out.unavailable_reads;
@@ -805,9 +812,9 @@ void client_main(const Options& opt, const std::string& front_dir,
   }
 
   // Drain stragglers briefly, then resolve lost writes whose responses
-  // eventually arrived: either outcome (Ok or Unavailable) proves the
-  // server assigned a timestamp, so the write is recorded pending (its
-  // client-observed interval never closed).
+  // eventually arrived: an Ok, or an Unavailable with a timestamp,
+  // proves the server assigned one, so the write is recorded pending
+  // (its client-observed interval never closed).
   const auto drain_until =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
   while (cli.connected() && std::chrono::steady_clock::now() < drain_until) {
@@ -822,12 +829,13 @@ void client_main(const Options& opt, const std::string& front_dir,
     if (m.type != MsgType::kWriteOk && m.type != MsgType::kUnavailableResp) {
       continue;
     }
+    lost.resolved = true;
+    if (m.ts == 0) continue;  // no timestamp assigned: never sent
     out.writes.push_back(RegWrite{m.ts, lost.start, kPendingEnd});
     out.write_vals.push_back(lost.val);
     if (m.type == MsgType::kWriteOk) {
       out.max_acked_ts = std::max(out.max_acked_ts, m.ts);
     }
-    lost.resolved = true;
   }
 }
 
@@ -1190,49 +1198,52 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     const char* flag = argv[i];
+    auto number = [&](std::uint64_t lo, std::uint64_t hi) {
+      return parse_number(flag, next(flag), lo, hi);
+    };
     if (!std::strcmp(flag, "--direct")) {
       opt.direct = true;
     } else if (!std::strcmp(flag, "--kill-majority")) {
       opt.kill_majority = true;
     } else if (!std::strcmp(flag, "--f")) {
-      opt.f = std::atoi(next(flag));
+      opt.f = static_cast<int>(number(1, compreg::net::kMaxF));
     } else if (!std::strcmp(flag, "--kind")) {
       opt.kind = parse_kind(next(flag));
     } else if (!std::strcmp(flag, "--base-port")) {
-      opt.base_port = std::atoi(next(flag));
+      opt.base_port = static_cast<int>(number(1, kMaxPort));
     } else if (!std::strcmp(flag, "--dir")) {
       opt.dir = next(flag);
     } else if (!std::strcmp(flag, "--plan")) {
       opt.plan_text = next(flag);
     } else if (!std::strcmp(flag, "--clients")) {
-      opt.clients = std::atoi(next(flag));
+      opt.clients = static_cast<int>(number(1, 1024));
     } else if (!std::strcmp(flag, "--ops")) {
-      opt.ops = std::strtoull(next(flag), nullptr, 10);
+      opt.ops = number(1, 1000000000);
     } else if (!std::strcmp(flag, "--kills")) {
-      opt.kills = std::atoi(next(flag));
+      opt.kills = static_cast<int>(number(0, 1000));
     } else if (!std::strcmp(flag, "--seed")) {
-      opt.seed = std::strtoull(next(flag), nullptr, 10);
+      opt.seed = number(0, UINT64_MAX);
     } else if (!std::strcmp(flag, "--attempt-ms")) {
-      opt.attempt_ms = static_cast<unsigned>(std::atoi(next(flag)));
+      opt.attempt_ms = static_cast<unsigned>(number(0, 60000));
     } else if (!std::strcmp(flag, "--max-attempts")) {
-      opt.max_attempts = static_cast<unsigned>(std::atoi(next(flag)));
+      opt.max_attempts = static_cast<unsigned>(number(1, 1000));
     } else if (!std::strcmp(flag, "--watchdog")) {
-      opt.watchdog_sec = static_cast<unsigned>(std::atoi(next(flag)));
+      opt.watchdog_sec = static_cast<unsigned>(number(0, 86400));
     } else if (!std::strcmp(flag, "--bench-json")) {
       opt.bench_json = next(flag);
     } else if (!std::strcmp(flag, "--out")) {
       opt.artifact.path = next(flag);
     } else if (!std::strcmp(flag, "--front-port")) {
-      opt.front_port = std::atoi(next(flag));
+      opt.front_port = static_cast<int>(number(1, kMaxPort));
       service_flag = flag;
     } else if (!std::strcmp(flag, "--write-pct")) {
-      opt.write_pct = static_cast<unsigned>(std::atoi(next(flag)));
+      opt.write_pct = static_cast<unsigned>(number(0, 100));
       service_flag = flag;
     } else if (!std::strcmp(flag, "--max-inflight")) {
-      opt.max_inflight = static_cast<std::uint32_t>(std::atoi(next(flag)));
+      opt.max_inflight = static_cast<std::uint32_t>(number(1, 1u << 20));
       service_flag = flag;
     } else if (!std::strcmp(flag, "--op-timeout-ms")) {
-      opt.op_timeout_ms = static_cast<unsigned>(std::atoi(next(flag)));
+      opt.op_timeout_ms = static_cast<unsigned>(number(1, 600000));
       service_flag = flag;
     } else if (!std::strcmp(flag, "--server-bin")) {
       opt.server_bin = next(flag);
@@ -1248,12 +1259,6 @@ int main(int argc, char** argv) {
   }
   if (opt.kill_majority && !opt.direct) {
     std::fprintf(stderr, "--kill-majority needs --direct\n");
-    return kExitUsage;
-  }
-  if (opt.f < 1 || opt.clients < 1 || opt.ops < 1 || opt.write_pct > 100) {
-    std::fprintf(stderr,
-                 "need --f >= 1, --clients >= 1, --ops >= 1, "
-                 "--write-pct in [0,100]\n");
     return kExitUsage;
   }
   if (!opt.plan_text.empty()) {

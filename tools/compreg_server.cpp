@@ -31,6 +31,7 @@
 
 #include "server/server.h"
 #include "telemetry/export.h"
+#include "cli.h"
 #include "fleet_common.h"
 
 namespace {
@@ -42,16 +43,18 @@ using compreg::tools::Fleet;
 using compreg::tools::FleetConfig;
 using compreg::tools::kExitUsage;
 using compreg::tools::kind_name;
+using compreg::tools::kMaxPort;
 using compreg::tools::mix_seed;
 using compreg::tools::parse_kind;
 using compreg::tools::run_replica_child;
 using compreg::net::real::TransportKind;
 
-std::atomic<bool> g_stop{false};
+std::atomic<Server*> g_server{nullptr};
 
 void on_signal(int) {
-  // Async-signal-safe: a lock-free relaxed store on the latch.
-  g_stop.store(true, std::memory_order_relaxed);
+  // Async-signal-safe: a lock-free load, then Server::stop() (a
+  // lock-free store and an eventfd write).
+  if (Server* s = g_server.load(std::memory_order_relaxed)) s->stop();
 }
 
 }  // namespace
@@ -76,32 +79,34 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto number = [&](std::uint64_t lo, std::uint64_t hi) {
+      const char* flag = argv[i];
+      return compreg::tools::parse_number(flag, next(flag), lo, hi);
+    };
     if (!std::strcmp(argv[i], "--kind")) {
       cfg.kind = parse_kind(next("--kind"));
     } else if (!std::strcmp(argv[i], "--f")) {
-      cfg.f = std::atoi(next("--f"));
+      cfg.f = static_cast<int>(number(1, compreg::net::kMaxF));
     } else if (!std::strcmp(argv[i], "--dir")) {
       cfg.fleet_dir = next("--dir");
     } else if (!std::strcmp(argv[i], "--front-dir")) {
       cfg.front_dir = next("--front-dir");
     } else if (!std::strcmp(argv[i], "--base-port")) {
-      cfg.fleet_base_port = std::atoi(next("--base-port"));
+      cfg.fleet_base_port = static_cast<int>(number(1, kMaxPort));
     } else if (!std::strcmp(argv[i], "--front-port")) {
-      cfg.front_base_port = std::atoi(next("--front-port"));
+      cfg.front_base_port = static_cast<int>(number(1, kMaxPort));
     } else if (!std::strcmp(argv[i], "--max-inflight")) {
-      cfg.max_inflight =
-          static_cast<std::uint32_t>(std::atoi(next("--max-inflight")));
+      cfg.max_inflight = static_cast<std::uint32_t>(number(1, 1u << 20));
     } else if (!std::strcmp(argv[i], "--attempt-ms")) {
-      cfg.attempt_ms = static_cast<unsigned>(std::atoi(next("--attempt-ms")));
+      cfg.attempt_ms = static_cast<unsigned>(number(1, 60000));
     } else if (!std::strcmp(argv[i], "--max-attempts")) {
-      cfg.max_attempts =
-          static_cast<unsigned>(std::atoi(next("--max-attempts")));
+      cfg.max_attempts = static_cast<unsigned>(number(1, 1000));
     } else if (!std::strcmp(argv[i], "--seed")) {
-      cfg.seed = std::strtoull(next("--seed"), nullptr, 10);
+      cfg.seed = number(0, UINT64_MAX);
     } else if (!std::strcmp(argv[i], "--plan")) {
       cfg.plan_text = next("--plan");
     } else if (!std::strcmp(argv[i], "--epoch-ns")) {
-      cfg.epoch_ns = std::strtoll(next("--epoch-ns"), nullptr, 10);
+      cfg.epoch_ns = static_cast<std::int64_t>(number(0, INT64_MAX));
     } else if (!std::strcmp(argv[i], "--stats-out")) {
       stats_out = next("--stats-out");
     } else if (!std::strcmp(argv[i], "--json-out")) {
@@ -153,6 +158,8 @@ int main(int argc, char** argv) {
     }
   }
 
+  Server server(cfg);
+  g_server.store(&server, std::memory_order_relaxed);
   struct sigaction sa{};
   sa.sa_handler = on_signal;
   ::sigaction(SIGTERM, &sa, nullptr);
@@ -162,8 +169,8 @@ int main(int argc, char** argv) {
               kind_name(cfg.kind), cfg.f, cfg.max_inflight);
   std::fflush(stdout);
 
-  Server server(cfg);
-  server.run(g_stop);
+  server.run();
+  g_server.store(nullptr, std::memory_order_relaxed);
 
   const auto snap = server.registry().snapshot();
   const auto cons = server.conservation();

@@ -21,18 +21,23 @@
 #include <thread>
 #include <vector>
 
+#include "net/abd_core.h"  // kMaxF
 #include "net/backoff.h"
 #include "net/net_plan.h"
 #include "net/real/replica.h"
 #include "net/real/supervisor.h"
 #include "net/real/transport.h"
-#include "verify_common.h"
+#include "cli.h"
 
 namespace compreg::tools {
 
 using SteadyPoint = std::chrono::steady_clock::time_point;
 
 inline constexpr char kSelfExe[] = "/proc/self/exe";
+
+// Largest --base-port / --front-port: TCP node r listens on base + r, and
+// 2 * kMaxF + 1 nodes must still fit below 65536.
+inline constexpr std::uint64_t kMaxPort = 65535 - 2 * net::kMaxF - 1;
 
 inline std::uint64_t mix_seed(std::uint64_t base, int node) {
   return base ^ (0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(node + 1));
@@ -81,24 +86,28 @@ inline int run_replica_child(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (!std::strcmp(argv[i], "--node")) {
-      cfg.transport.self = std::atoi(next());
-    } else if (!std::strcmp(argv[i], "--f")) {
-      cfg.f = std::atoi(next());
-    } else if (!std::strcmp(argv[i], "--dir")) {
+    const char* flag = argv[i];
+    if (!std::strcmp(flag, "--node")) {
+      cfg.transport.self = static_cast<int>(
+          parse_number(flag, next(), 0, 2 * net::kMaxF));
+    } else if (!std::strcmp(flag, "--f")) {
+      cfg.f = static_cast<int>(parse_number(flag, next(), 1, net::kMaxF));
+    } else if (!std::strcmp(flag, "--dir")) {
       cfg.data_dir = next();
-    } else if (!std::strcmp(argv[i], "--kind")) {
+    } else if (!std::strcmp(flag, "--kind")) {
       cfg.transport.kind = parse_kind(next());
-    } else if (!std::strcmp(argv[i], "--base-port")) {
-      cfg.transport.base_port = static_cast<std::uint16_t>(std::atoi(next()));
-    } else if (!std::strcmp(argv[i], "--epoch-ns")) {
-      epoch_ns = std::strtoll(next(), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--seed")) {
-      cfg.seed = std::strtoull(next(), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--plan")) {
+    } else if (!std::strcmp(flag, "--base-port")) {
+      cfg.transport.base_port =
+          static_cast<std::uint16_t>(parse_number(flag, next(), 1, kMaxPort));
+    } else if (!std::strcmp(flag, "--epoch-ns")) {
+      epoch_ns = static_cast<std::int64_t>(
+          parse_number(flag, next(), 0, INT64_MAX));
+    } else if (!std::strcmp(flag, "--seed")) {
+      cfg.seed = parse_number(flag, next(), 0, UINT64_MAX);
+    } else if (!std::strcmp(flag, "--plan")) {
       plan_text = next();
     } else {
-      std::fprintf(stderr, "replica: unknown flag %s\n", argv[i]);
+      std::fprintf(stderr, "replica: unknown flag %s\n", flag);
       return kExitUsage;
     }
   }

@@ -1,15 +1,14 @@
 // Shared machinery of the verification drivers (verify_schedules,
-// compreg_loadgen): the strict numeric flag parser, the implementation
-// factory, the replayable-artifact writer, the mutex-shared LiveState
-// the watchdog reads, and the watchdog itself. One copy, so a hang
-// artifact looks the same whether the run that wedged was a sampled
-// execution, a DPOR-explored schedule, or a real-socket fleet.
+// compreg_loadgen): the implementation factory, the replayable-artifact
+// writer, the mutex-shared LiveState the watchdog reads, and the
+// watchdog itself. One copy, so a hang artifact looks the same whether
+// the run that wedged was a sampled execution, a DPOR-explored
+// schedule, or a real-socket fleet. Flag parsing and exit codes are in
+// cli.h.
 #pragma once
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -30,41 +29,9 @@
 #include "lin/history.h"
 #include "net/net_cell.h"
 #include "theory/theory_cell.h"
+#include "cli.h"
 
 namespace compreg::tools {
-
-constexpr int kExitViolation = 1;
-constexpr int kExitWatchdog = 2;
-constexpr int kExitUsage = 64;
-
-// Prints a usage error (printf-style, newline added) and exits 64.
-[[noreturn]] __attribute__((format(printf, 1, 2))) inline void usage_error(
-    const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  std::vfprintf(stderr, fmt, args);
-  va_end(args);
-  std::fputc('\n', stderr);
-  std::exit(kExitUsage);
-}
-
-// Parses a numeric flag's value strictly: the whole string must be a
-// decimal integer in [lo, hi]. Anything else — empty, a sign, trailing
-// junk, overflow, out of range — is a usage error (exit 64), never a
-// silent 0.
-inline std::uint64_t parse_number(const char* flag, const char* text,
-                                  std::uint64_t lo, std::uint64_t hi) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE ||
-      v < lo || v > hi) {
-    usage_error("%s takes an integer in [%llu, %llu], got '%s'", flag,
-                static_cast<unsigned long long>(lo),
-                static_cast<unsigned long long>(hi), text);
-  }
-  return v;
-}
 
 inline std::unique_ptr<core::Snapshot<std::uint64_t>> make_impl(
     const std::string& name, int c, int r) {

@@ -120,9 +120,11 @@
 #include "lin/witness.h"
 #include "lin/workload.h"
 #include "net/net_cell.h"
+#include "sched/access.h"
 #include "sched/dpor.h"
 #include "sched/policy.h"
 #include "util/rng.h"
+#include "cli.h"
 #include "verify_common.h"
 
 namespace {
@@ -543,6 +545,12 @@ std::optional<std::vector<int>> parse_schedule(const std::string& text) {
 // order, so the recorder and snapshot go before the fabric whose SimNet
 // the net cells reference.
 struct RunCtx {
+  // Drawn before anything else the scenario builds: findings name a
+  // cell by its id minus this one, the scenario's own numbering from 1.
+  // Sampling draws ids from the shared counter and enumeration from a
+  // per-execution CellIdArena block, so absolute ids differ between the
+  // modes; this offset does not.
+  std::uint64_t cell_base = sched::new_cell_id();
   std::optional<net::ScopedNetFabric> fab;
   std::unique_ptr<compreg::core::Snapshot<std::uint64_t>> snap;
   std::shared_ptr<lin::HistoryRecorder> rec;
@@ -591,6 +599,11 @@ Execution check(const Options& o, lin::History history,
   e.report = session.report();
   if (ctx != nullptr && ctx->fab) {
     e.report.merge_findings(ctx->fab->fabric().net().durable().report());
+  }
+  if (ctx != nullptr) {
+    for (analysis::Finding& f : e.report.findings) {
+      if (f.cell > ctx->cell_base) f.cell -= ctx->cell_base;
+    }
   }
   if (o.conformance && !e.report.ok()) {
     e.verdict = {"conformance findings", e.report.findings.front().to_string()};
