@@ -81,8 +81,8 @@ void print_row(const Row& r) {
   std::printf("%3d %5u‰ %5u %8" PRIu64 " %9.1f %9.1f %8" PRIu64 " %7" PRIu64
               " %8" PRIu64 " %8.2f %8" PRIu64 " %9.2f\n",
               r.f, r.loss, r.cycles, r.ops, per_op(r.st.sent, r.ops),
-              per_op(r.st.polls, r.ops), r.st.client_retries,
-              r.st.client_unavailable, r.st.replica_recoveries,
+              per_op(r.st.polls, r.ops), r.st.client.retries,
+              r.st.client.unavailable, r.st.replica_recoveries,
               per_op(r.st.catchup_msgs, r.ops), r.st.dropped_down, r.ms);
 }
 
@@ -162,8 +162,8 @@ int write_json(const char* path) {
         ",\"ms\":%.2f}%s\n",
         r.table, r.f, r.loss, r.cycles, r.ops, r.st.sent, r.st.delivered,
         r.st.polls, per_op(r.st.sent, r.ops), per_op(r.st.polls, r.ops),
-        r.st.client_retries, r.st.client_unavailable, r.st.client_writebacks,
-        r.st.client_writeback_skips, r.st.replica_recoveries,
+        r.st.client.retries, r.st.client.unavailable, r.st.client.writebacks,
+        r.st.client.writeback_skips, r.st.replica_recoveries,
         per_op(r.st.replica_recoveries, r.ops), r.st.catchup_msgs,
         per_op(r.st.catchup_msgs, r.ops), r.st.dropped_down, r.ms,
         i + 1 < rows().size() ? "," : "");

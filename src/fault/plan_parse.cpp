@@ -1,29 +1,23 @@
 #include "fault/plan_parse.h"
 
+#include <limits>
 #include <sstream>
+
+#include "util/decimal.h"
 
 namespace compreg::fault::plan_parse {
 
 bool parse_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    return used == text.size();
-  } catch (...) {
-    return false;
-  }
+  const std::optional<std::uint64_t> v = parse_decimal(text.c_str());
+  if (v) out = *v;
+  return v.has_value();
 }
 
 bool parse_int(const std::string& text, int& out) {
-  if (text.empty()) return false;
-  try {
-    std::size_t used = 0;
-    out = std::stoi(text, &used);
-    return used == text.size() && out >= 0;
-  } catch (...) {
-    return false;
-  }
+  const std::optional<std::uint64_t> v =
+      parse_decimal(text.c_str(), 0, std::numeric_limits<int>::max());
+  if (v) out = static_cast<int>(*v);
+  return v.has_value();
 }
 
 std::optional<std::vector<std::pair<std::string, std::string>>> split_specs(

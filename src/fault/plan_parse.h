@@ -15,10 +15,9 @@
 
 namespace compreg::fault::plan_parse {
 
-// Strict unsigned parse: the whole string must be digits of one number.
+// Strict parses (util/decimal.h): the whole string must be the digits
+// of one number that fits. No sign, no space.
 bool parse_u64(const std::string& text, std::uint64_t& out);
-
-// Strict non-negative int parse.
 bool parse_int(const std::string& text, int& out);
 
 // Splits "kind:body,kind:body" into (kind, body) pairs. Returns nullopt

@@ -2,8 +2,8 @@
 // simulated register (net/replicated_register.h, over SimNet) and the
 // socket register (net/real/client.h, net/real/replica.h) make lives
 // here, with no I/O, no clocks and no schedule points. Each side owns
-// only its transport and its timing: it feeds the core what arrived and
-// sends what the core returns.
+// only its transport and its unit of time: it feeds the core what
+// arrived and sends what the core returns.
 //
 // The protocol is the single-writer half of Attiya–Bar-Noy–Dolev, in
 // the crash-recovery model of Imbs–Mostéfaoui–Perrin–Raynal. 2f+1
@@ -38,9 +38,12 @@
 //                   absorb the silence as transient loss, and two
 //                   catching-up replicas cannot vouch for each other.
 //
-// Client rules (QuorumCollector): one collector per client role keeps,
-// for the current phase's op id, the first reply from each distinct
-// replica, and reports a quorum at f+1. read_choice() is the read rule.
+// Client rules (AbdClient, over a QuorumCollector): a phase broadcasts
+// and waits for f+1 distinct replies; after a failed wait it backs off
+// and re-broadcasts under the same op id, so late replies still count.
+// After max_attempts failed waits the operation is Unavailable, never a
+// hang. So is a read whose write-back is: its value is not known to
+// rest on a majority, and a later read could return an older one.
 //
 // Bounds: 1 <= f <= kMaxF. A catch-up round records the peers it heard
 // from in a 64-bit mask, so all 2f+1 replica ids must fit in it.
@@ -52,7 +55,9 @@
 #include <optional>
 #include <utility>
 
+#include "net/backoff.h"
 #include "util/assert.h"
+#include "util/rng.h"
 
 namespace compreg::net {
 
@@ -216,6 +221,99 @@ class QuorumCollector {
   std::uint64_t op_ = 0;
   std::uint64_t heard_ = 0;  // replicas that replied in this phase
   ReadChoice<T> choice_;
+};
+
+struct ClientStats {
+  std::uint64_t phases = 0;
+  std::uint64_t reads = 0;
+  std::uint64_t writes = 0;
+  std::uint64_t retries = 0;      // re-broadcasts after a failed wait
+  std::uint64_t unavailable = 0;  // phases that spent their budget
+  std::uint64_t writebacks = 0;
+  std::uint64_t writeback_skips = 0;  // uniform quorum
+};
+
+// How long a client tries, in its link's unit of time.
+struct RetryBudget {
+  unsigned max_attempts;  // per phase, the first attempt included
+  std::uint64_t attempt;  // one attempt's wait
+  unsigned backoff_base;  // see backoff_window
+  unsigned backoff_cap;
+};
+
+// A client's link to the replicas, in its own unit of time.
+// broadcast(phase, op, store) sends STORE(*store), or QUERY if store is
+// empty, to every replica; replies go to phase.offer().
+// await(phase, budget) waits up to `budget` for phase.quorum() and
+// returns it.
+template <typename L, typename T>
+concept AbdLink = requires(L& link, QuorumCollector<T>& phase,
+                           std::uint64_t n,
+                           const std::optional<Stamped<T>>& store) {
+  link.broadcast(phase, n, store);
+  { link.await(phase, n) } -> std::same_as<bool>;
+};
+
+// One client role (a writer, or one reader) over `Link`.
+template <typename T, typename Link>
+  requires AbdLink<Link, T>
+class AbdClient {
+ public:
+  // `node` (the client's network id) salts the jitter seed. `stats`
+  // must outlive the client.
+  AbdClient(int f, int node, const RetryBudget& budget,
+            std::uint64_t jitter_seed, ClientStats& stats, Link link)
+      : phase_(f),
+        budget_(budget),
+        jitter_(jitter_seed ^
+                (static_cast<std::uint64_t>(node) * 0x9e3779b9ull)),
+        stats_(stats),
+        link_(std::move(link)) {}
+
+  // False means Unavailable: the write may still take effect later.
+  bool write(std::uint64_t ts, const T& v) {
+    ++stats_.writes;
+    return quorum_phase(Stamped<T>{ts, v});
+  }
+
+  // nullopt means Unavailable.
+  std::optional<Stamped<T>> read() {
+    ++stats_.reads;
+    if (!quorum_phase(std::nullopt)) return std::nullopt;
+    ReadChoice<T> choice = phase_.read_choice();
+    if (!choice.write_back) {
+      ++stats_.writeback_skips;
+    } else if (quorum_phase(choice)) {
+      ++stats_.writebacks;
+    } else {
+      return std::nullopt;
+    }
+    return Stamped<T>{choice.ts, std::move(choice.val)};
+  }
+
+ private:
+  // A backoff wait still takes replies: a late quorum ends it early.
+  bool quorum_phase(const std::optional<Stamped<T>>& store) {
+    ++stats_.phases;
+    const std::uint64_t op = phase_.begin();
+    for (unsigned attempt = 0; attempt < budget_.max_attempts; ++attempt) {
+      if (attempt > 0) ++stats_.retries;
+      link_.broadcast(phase_, op, store);
+      if (link_.await(phase_, budget_.attempt)) return true;
+      if (attempt + 1 == budget_.max_attempts) break;
+      const std::uint64_t window = backoff_window(
+          budget_.backoff_base, budget_.backoff_cap, attempt, jitter_);
+      if (link_.await(phase_, window)) return true;
+    }
+    ++stats_.unavailable;
+    return false;
+  }
+
+  QuorumCollector<T> phase_;
+  RetryBudget budget_;
+  Rng jitter_;
+  ClientStats& stats_;
+  Link link_;
 };
 
 }  // namespace compreg::net

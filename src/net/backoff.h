@@ -1,21 +1,13 @@
-// Shared retry timing for the replicated-register robustness layers.
-//
-// Both transports implement the same bounded-retry discipline — attempt,
-// wait out a bounded exponential backoff window, attempt again, degrade
-// to explicit Unavailable once the budget is spent — but they measure
-// time differently: the simulator counts network polls (deterministic
-// schedule points), the real transport counts wall-clock milliseconds
-// on the monotonic clock. The window arithmetic is identical and easy
-// to get wrong (shift overflow, jitter draw discipline), so it lives
-// here once, audited by tests/net/backoff_test.cpp, and both
-// ReplicatedRegister (sim, polls) and real::RealAbdClient (wall clock,
-// ms) call it with their own unit.
+// Retry timing for the ABD client (net/abd_core.h), in the unit of its
+// link: network polls in the simulator, milliseconds on sockets.
+// backoff_window's arithmetic is easy to get wrong (shift overflow,
+// jitter draw discipline), so it lives here once, audited by
+// tests/net/backoff_test.cpp.
 //
 // Deadline wraps the monotonic clock (std::chrono::steady_clock =
-// CLOCK_MONOTONIC on Linux) for the real path: per-attempt timeouts,
-// epoll_wait budgets, and fault-window arithmetic all compare against
-// Deadline so nothing in src/net/real/ ever touches the wall clock
-// (which can jump) or mixes clock bases.
+// CLOCK_MONOTONIC on Linux) for the socket side: attempt budgets,
+// epoll_wait timeouts and fault windows all compare against a Deadline,
+// so nothing in src/net/real/ reads the wall clock (which can jump).
 #pragma once
 
 #include <algorithm>
@@ -28,11 +20,9 @@
 namespace compreg::net {
 
 // One bounded exponential backoff window: min(cap, base * 2^attempt)
-// plus deterministic jitter in [0, window/2]. The unit is the caller's
-// (polls for the simulator, milliseconds for the real transport). For
-// large attempt counts the shift would overflow (and is outright UB at
-// attempt >= 64), so the window saturates at `cap` instead. Consumes
-// exactly one draw from `jitter` — replay-stable.
+// plus deterministic jitter in [0, window/2], in the caller's unit. The
+// window saturates at `cap` where the shift would overflow (UB at
+// attempt >= 64). Consumes exactly one draw from `jitter`.
 inline std::uint64_t backoff_window(unsigned base, unsigned cap,
                                     unsigned attempt, Rng& jitter) {
   std::uint64_t window = cap;
@@ -47,8 +37,6 @@ inline std::uint64_t backoff_window(unsigned base, unsigned cap,
 }
 
 // A point on the monotonic clock that a bounded wait must not cross.
-// Value-semantic and cheap: the real transport creates one per attempt
-// / poll and threads it down to epoll_wait.
 class Deadline {
  public:
   using Clock = std::chrono::steady_clock;

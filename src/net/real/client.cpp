@@ -5,75 +5,41 @@ namespace compreg::net::real {
 RealAbdClient::RealAbdClient(Transport& net, const RealClientConfig& cfg,
                              std::chrono::steady_clock::time_point epoch)
     : net_(net),
-      cfg_(cfg),
       epoch_(epoch),
-      jitter_(cfg.jitter_seed ^
-              (static_cast<std::uint64_t>(net.self()) * 0x9e3779b9ull)),
-      phase_(cfg.f) {}
+      client_(cfg.f, net.self(),
+              RetryBudget{cfg.max_attempts,
+                          static_cast<std::uint64_t>(
+                              cfg.attempt_timeout.count()),
+                          kBackoffBaseMs, kBackoffCapMs},
+              cfg.jitter_seed, stats_, SocketLink{this}) {}
 
-bool RealAbdClient::quorum_phase(MsgType req, std::uint64_t ts,
-                                 std::uint64_t val) {
-  const std::uint64_t op = phase_.begin();
-  const MsgType want =
-      req == MsgType::kStore ? MsgType::kStoreAck : MsgType::kQueryReply;
-  const auto self = static_cast<std::uint32_t>(net_.self());
-
-  const auto drain_until = [&](const Deadline& deadline) {
-    while (!phase_.quorum()) {
-      std::optional<Delivery> d = net_.poll(deadline);
-      if (!d) return false;
-      const WireMsg& m = d->msg;
-      if (m.type != want) continue;  // stray
-      if (phase_.offer(d->src, m.op, m.ts, m.val) &&
-          m.type == MsgType::kStoreAck && ack_hook_) {
-        const auto t = std::chrono::steady_clock::now() - epoch_;
-        ack_hook_(d->src, m.ts,
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(t)
-                      .count());
-      }
-    }
-    return true;
-  };
-
-  for (unsigned attempt = 0; attempt < cfg_.max_attempts; ++attempt) {
-    if (attempt > 0) ++stats_.retries;
-    for (int r = 0; r < phase_.replicas(); ++r) {
-      net_.send(r, WireMsg{req, self, op, ts, val});
-    }
-    if (drain_until(Deadline::after(cfg_.attempt_timeout))) return true;
-    if (attempt + 1 == cfg_.max_attempts) break;
-    // Bounded exponential backoff with deterministic jitter — the same
-    // window arithmetic as the sim client, in milliseconds. The backoff
-    // wait keeps polling, so a straggling quorum short-circuits it.
-    const std::uint64_t window_ms = backoff_window(
-        cfg_.backoff_base_ms, cfg_.backoff_cap_ms, attempt, jitter_);
-    if (drain_until(Deadline::after(std::chrono::milliseconds(window_ms)))) {
-      return true;
-    }
-  }
-  ++stats_.unavailable;
-  return false;
+void RealAbdClient::SocketLink::broadcast(
+    QuorumCollector<std::uint64_t>& phase, std::uint64_t op,
+    const std::optional<Stamped<std::uint64_t>>& store) {
+  want = store ? MsgType::kStoreAck : MsgType::kQueryReply;
+  const WireMsg m{store ? MsgType::kStore : MsgType::kQuery,
+                  static_cast<std::uint32_t>(owner->net_.self()), op,
+                  store ? store->ts : 0, store ? store->val : 0};
+  for (int r = 0; r < phase.replicas(); ++r) owner->net_.send(r, m);
 }
 
-bool RealAbdClient::try_write(std::uint64_t ts, std::uint64_t val) {
-  ++stats_.writes;
-  return quorum_phase(MsgType::kStore, ts, val);
-}
-
-RealReadResult RealAbdClient::try_read() {
-  ++stats_.reads;
-  if (!quorum_phase(MsgType::kQuery, 0, 0)) return {};
-  const ReadChoice<std::uint64_t> choice = phase_.read_choice();
-  if (!choice.write_back) {
-    ++stats_.writeback_skips;
-  } else if (quorum_phase(MsgType::kStore, choice.ts, choice.val)) {
-    ++stats_.writebacks;
-  } else {
-    // The value is not yet known to rest on a majority; returning it
-    // could show a later reader an older value (new-old inversion).
-    return {};
+bool RealAbdClient::SocketLink::await(QuorumCollector<std::uint64_t>& phase,
+                                      std::uint64_t ms) {
+  const Deadline deadline = Deadline::after(std::chrono::milliseconds(ms));
+  while (!phase.quorum()) {
+    const std::optional<Delivery> d = owner->net_.poll(deadline);
+    if (!d) return false;
+    const WireMsg& m = d->msg;
+    if (m.type != want) continue;  // stray
+    if (phase.offer(d->src, m.op, m.ts, m.val) &&
+        m.type == MsgType::kStoreAck && owner->ack_hook_) {
+      const auto t = std::chrono::steady_clock::now() - owner->epoch_;
+      owner->ack_hook_(
+          d->src, m.ts,
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t).count());
+    }
   }
-  return RealReadResult{true, choice.ts, choice.val};
+  return true;
 }
 
 }  // namespace compreg::net::real

@@ -92,7 +92,12 @@ std::optional<Delivery> FaultyTransport::poll(const Deadline& deadline) {
       }
       return d;
     }
-    if (deadline.expired()) return std::nullopt;
+    // Empty: the deadline passed or a wake came. Go round only to
+    // release a held frame that fell due.
+    if (held_.empty() ||
+        held_.top().release > std::chrono::steady_clock::now()) {
+      return std::nullopt;
+    }
   }
 }
 

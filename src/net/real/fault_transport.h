@@ -26,9 +26,13 @@
 //
 // Held (delayed/reordered) messages are released from poll(): the
 // decorator shortens the caller's deadline to the next release time, so
-// a blocked poll still releases traffic punctually. Drops and holds are
-// decided per endpoint from (seed, plan) — deterministic in the
-// decision sequence, though wall-clock arrival order stays real.
+// a blocked poll still releases traffic punctually. An inner poll that
+// comes back empty (deadline passed, or a wake) ends the poll unless a
+// held frame fell due, so a wake also ends a poll(Deadline::never()).
+// The exception is a wake that lands in the round where a held frame
+// falls due: that round uses it up. Drops and holds are decided per
+// endpoint from (seed, plan) — deterministic in the decision sequence,
+// though wall-clock arrival order stays real.
 #pragma once
 
 #include <chrono>

@@ -4,6 +4,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cinttypes>
 #include <csignal>
@@ -18,9 +19,21 @@
 namespace compreg::net::real {
 namespace {
 
-volatile std::sig_atomic_t g_stop = 0;
+constexpr std::chrono::milliseconds kSyncRetry{50};  // catch-up re-broadcast
 
-void on_term(int /*sig*/) { g_stop = 1; }
+volatile std::sig_atomic_t g_stop = 0;
+// The socket the loop sleeps in, while it exists.
+std::atomic<SocketTransport*> g_socket{nullptr};
+static_assert(std::atomic<SocketTransport*>::is_always_lock_free,
+              "the SIGTERM handler reads g_socket");
+
+void on_term(int /*sig*/) {
+  g_stop = 1;
+  // Acquire: pairs with the release that published the socket.
+  if (SocketTransport* s = g_socket.load(std::memory_order_acquire)) {
+    s->wake();
+  }
+}
 
 void install_sigterm() {
   struct sigaction sa = {};
@@ -71,6 +84,8 @@ int run_replica(const ReplicaConfig& cfg) {
 
   SocketTransport socket(cfg.transport);
   FaultyTransport net(socket, cfg.plan, cfg.seed, cfg.epoch);
+  // Release: a handler that sees the pointer sees a built socket.
+  g_socket.store(&socket, std::memory_order_release);
 
   {
     char line[160];
@@ -111,10 +126,12 @@ int run_replica(const ReplicaConfig& cfg) {
         net.send(peer, WireMsg{MsgType::kSyncReq, self, replica.tag(),
                                replica.ts(), 0});
       }
-      next_sync = Deadline::after(cfg.sync_retry);
+      next_sync = Deadline::after(kSyncRetry);
     }
 
-    std::optional<Delivery> d = net.poll(Deadline::after(cfg.poll_slice));
+    // A SIGTERM after the g_stop check above still ends this poll.
+    std::optional<Delivery> d =
+        net.poll(replica.serving() ? Deadline::never() : next_sync);
     if (!d) continue;
     const WireMsg& m = d->msg;
     switch (m.type) {
@@ -150,6 +167,8 @@ int run_replica(const ReplicaConfig& cfg) {
         break;  // client-role / service-layer frames; stray ones ignored
     }
   }
+  // Release: the loop is done with the socket before it is destroyed.
+  g_socket.store(nullptr, std::memory_order_release);
   return 0;
 }
 

@@ -9,17 +9,18 @@
 // persisted anything never acknowledged anything, so it starts blank
 // and serves at once; a present durable file makes it rejoin, tagged
 // with this process's incarnation. Catch-up requests are re-broadcast
-// every `sync_retry` until a quorum answers, since peers may themselves
-// still be starting.
+// every 50 ms (kSyncRetry) until a quorum answers, since peers may
+// themselves still be starting. Between those, and always once serving,
+// the loop sleeps in the transport until a frame or SIGTERM wakes it.
 //
 // The replica appends machine-parseable lines ("start ...",
 // "serving ...") to <data_dir>/audit.log; the harness's durability
 // auditor joins them against client-side ack records to detect
 // ack-before-persist violations across real kill-9 cycles.
 //
-// Termination: SIGTERM requests a clean exit; SIGKILL is the chaos
-// path (the supervisor's job). The supervisor arms PR_SET_PDEATHSIG so
-// orphaned replicas die with the harness.
+// Termination: SIGTERM wakes the loop for a clean exit; SIGKILL is the
+// chaos path (the supervisor's job). The supervisor arms
+// PR_SET_PDEATHSIG so orphaned replicas die with the harness.
 #pragma once
 
 #include <chrono>
@@ -39,8 +40,6 @@ struct ReplicaConfig {
                          // ignored here (real crashes are SIGKILLs)
   std::uint64_t seed = 1;
   std::chrono::steady_clock::time_point epoch{};  // fleet time origin
-  std::chrono::milliseconds sync_retry{50};  // catch-up rebroadcast period
-  std::chrono::milliseconds poll_slice{25};  // event-loop wakeup bound
 };
 
 // Runs the replica event loop until SIGTERM. Returns a process exit

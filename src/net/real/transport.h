@@ -1,18 +1,14 @@
-// Transport: the real-network half of the seam carved out of SimNet.
+// Transport: the socket layer under the ABD client and replica.
 //
-// The replicated-register protocol only ever needed two things from its
-// network — fire-and-forget `send` and a bounded `poll` that surfaces
-// whatever arrived — and that pair is the seam: SimNet provides it over
-// a deterministic in-process event queue with labeled schedule points,
-// and this interface provides it over real sockets with monotonic-clock
-// deadlines. Above the seam, both sides drive the same protocol code:
-// replica handlers, quorum collection, the read rule and the rejoin
-// catch-up are net/abd_core.h, and the retry window is net/backoff.h.
-// Each side keeps only its own retry loop, counted in polls or in
-// milliseconds. Below the seam everything differs by design: the
-// simulator's schedule points stop at this line (see
-// docs/fault_model.md, "Real transport"), and the real side answers
-// with actual processes, kernels, and clocks instead.
+// The protocol needs two things from a real network: fire-and-forget
+// `send` and a deadline-bounded `poll` that surfaces whatever arrived.
+// Above this interface everything is net/abd_core.h: the replica
+// handlers, quorum collection, the read rule, the rejoin catch-up and
+// the client's retry loop. The socket client's link (net/real/client.h)
+// and the replica loop (net/real/replica.h) only turn those decisions
+// into frames. The simulator does not implement this interface: its
+// link sends SimNet delivery closures instead, and its schedule points
+// stop at that line (see docs/fault_model.md, "Real transport").
 //
 // SocketTransport is the concrete backend: nonblocking stream sockets
 // (Unix-domain by default, TCP loopback optionally), one epoll set per

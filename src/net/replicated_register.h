@@ -1,30 +1,21 @@
-// ReplicatedRegister: the ABD register of net/abd_core.h driven over
-// SimNet — the networked substrate for the paper's construction.
+// ReplicatedRegister: the ABD register of net/abd_core.h over SimNet,
+// the networked substrate for the paper's construction.
 //
-// The protocol's decisions (replica handlers, quorum collection, the
-// read rule, the bounds on f) live in net/abd_core.h. This file is its
-// simulated transport: requests and replies are SimNet delivery
-// closures, so one poll is one atomic network step. A NetFaultPlan
-// `recover` cycle calls on_recover, which reloads the replica's
-// DurableRecord (net/durable_state.h) and sends the catch-up round.
-// Every ack and reply passes the DurableMedium auditor, and
+// Requests and replies are SimNet delivery closures, so one poll is one
+// atomic network step. The writer and each reader slot are an
+// AbdClient over a SimLink, which counts time in network polls
+// (kAttemptPolls, kBackoff*Polls), so every bound is deterministic. A
+// NetFaultPlan `recover` cycle calls on_recover, which reloads the
+// replica's DurableRecord (net/durable_state.h) and sends the catch-up
+// round. Every ack and reply passes the DurableMedium auditor, and
 // NetConfig::amnesia seeds the two discipline violations
 // (ack-before-persist, blank rejoin) for certification runs.
 //
-// Timing is counted in network polls, so every bound is deterministic.
-// Each attempt of a quorum phase broadcasts to all replicas and polls
-// for at most `timeout_polls` steps; failed attempts re-send after a
-// bounded exponential backoff (net/backoff.h) up to `max_attempts`
-// times, after which the operation degrades to an explicit Unavailable
-// outcome — never a hang, and never a non-linearizable read (a read
-// only returns after its chosen value provably rests on a majority).
-// try_read/try_write surface that outcome as a value; read/write (the
+// try_read/try_write return Unavailable as a value. read/write (the
 // MrswCell interface, which has no failure channel) throw
-// UnavailableError, which derives from sched::ProcessParked so the
-// crash-aware workloads and checkers treat a quorum-starved
-// process exactly like a crash-stopped one: its interrupted operation
-// is recorded pending — it may or may not take effect, but cannot
-// un-happen.
+// UnavailableError, a sched::ProcessParked: the crash-aware workloads
+// and checkers treat a quorum-starved process like a crash-stopped one,
+// and record its interrupted operation as pending.
 //
 // SIMULATOR-ONLY for concurrent use (the replica state and SimNet
 // queue are plain fields serialized by the lockstep); single-threaded
@@ -37,14 +28,12 @@
 #include <vector>
 
 #include "net/abd_core.h"
-#include "net/backoff.h"
 #include "net/durable_state.h"
 #include "net/sim_net.h"
 #include "sched/access.h"
 #include "sched/schedule_point.h"
 #include "util/assert.h"
 #include "util/op_counter.h"
-#include "util/rng.h"
 #include "util/space_accounting.h"
 
 namespace compreg::net {
@@ -55,7 +44,7 @@ namespace compreg::net {
 // degradation contract documented in docs/fault_model.md.
 struct UnavailableError : sched::ProcessParked {
   explicit UnavailableError(const char* op_name) : op(op_name) {}
-  const char* op;  // "write", "read-query", or "read-writeback"
+  const char* op;  // "write" or "read"
 };
 
 // Seeded durability mutants for certification runs (tests, verify
@@ -72,14 +61,15 @@ enum class Amnesia : std::uint8_t {
   kBlankRejoin,
 };
 
-// Client-side robustness knobs. All quantities are network polls
-// (= schedule points while waiting), so every bound is deterministic.
+// The simulated client's timing, in network polls (= schedule points
+// while waiting).
+inline constexpr unsigned kAttemptPolls = 24;     // one attempt's wait
+inline constexpr unsigned kBackoffBasePolls = 2;  // doubles per attempt
+inline constexpr unsigned kBackoffCapPolls = 32;  // bound on one window
+
 struct NetConfig {
-  int f = 1;                    // crash tolerance; replicas = 2f + 1
-  unsigned timeout_polls = 24;  // per-attempt deadline
-  unsigned max_attempts = 5;    // per quorum phase (first try included)
-  unsigned backoff_base = 2;    // polls; doubles per failed attempt
-  unsigned backoff_cap = 32;    // upper bound on one backoff window
+  int f = 1;                  // crash tolerance; replicas = 2f + 1
+  unsigned max_attempts = 5;  // per quorum phase (first try included)
   std::uint64_t jitter_seed = 0x9e7c0ffeeull;
   Amnesia amnesia = Amnesia::kNone;  // certification-only seeded fault
 
@@ -109,8 +99,12 @@ class ReplicatedRegister {
     }
     hook_token_ =
         net_.add_recover_hook([this](int node) { on_recover(node); });
+    const RetryBudget budget{cfg.max_attempts, kAttemptPolls,
+                             kBackoffBasePolls, kBackoffCapPolls};
     for (int j = 0; j <= readers; ++j) {
-      endpoints_.emplace_back(net_.new_client_node(), cfg_);
+      const int node = net_.new_client_node();
+      clients_.emplace_back(cfg.f, node, budget, cfg.jitter_seed,
+                            net_.stats().client, SimLink{this, node});
     }
     // One logical MRSW register; physically 2f+1 replicated copies.
     account_register(label, payload_bits, readers,
@@ -141,26 +135,18 @@ class ReplicatedRegister {
   bool try_write(const T& value) {
     sched::observe(access_.write());
     ++op_counters().reg_writes;
-    ++write_ts_;
-    return quorum_phase(endpoints_.front(), Stamped<T>{write_ts_, value});
+    return clients_.front().write(++write_ts_, value);
   }
 
   std::optional<T> try_read(int reader_id) {
     COMPREG_DCHECK(reader_id >= 0 &&
-                   reader_id + 1 < static_cast<int>(endpoints_.size()));
+                   reader_id + 1 < static_cast<int>(clients_.size()));
     sched::observe(access_.read(reader_id));
     ++op_counters().reg_reads;
-    Endpoint& ep = endpoints_[static_cast<std::size_t>(reader_id) + 1];
-    if (!quorum_phase(ep, std::nullopt)) return std::nullopt;
-    ReadChoice<T> choice = ep.phase.read_choice();
-    if (!choice.write_back) {
-      ++net_.stats().client_writeback_skips;
-    } else if (quorum_phase(ep, choice)) {
-      ++net_.stats().client_writebacks;
-    } else {
-      return std::nullopt;
-    }
-    return std::move(choice.val);
+    std::optional<Stamped<T>> got =
+        clients_[static_cast<std::size_t>(reader_id) + 1].read();
+    if (!got) return std::nullopt;
+    return std::move(got->val);
   }
 
   // Direct replica inspection, for tests and benches.
@@ -197,39 +183,54 @@ class ReplicatedRegister {
   };
   using Replica = AbdReplica<T, SimDurable>;
 
-  // One client role (the writer, or one reader slot): a network node id
-  // plus its phase collector. Endpoints are stable in memory (deque)
-  // because delivery closures capture references.
-  struct Endpoint {
-    Endpoint(int id, const NetConfig& cfg)
-        : node(id),
-          phase(cfg.f),
-          jitter(cfg.jitter_seed ^
-                 (static_cast<std::uint64_t>(id) * 0x9e3779b9ull)) {}
-
+  // One client's side of SimNet: requests and replies are delivery
+  // closures. A reply goes to the client's collector, which never moves
+  // (the clients live in a deque).
+  struct SimLink {
+    ReplicatedRegister* reg;
     int node;
-    QuorumCollector<T> phase;
-    Rng jitter;
+
+    void broadcast(QuorumCollector<T>& phase, std::uint64_t op,
+                   const std::optional<Stamped<T>>& store) {
+      for (int r = 0; r < reg->cfg_.replicas(); ++r) {
+        reg->net_.send(node, r, [reg = reg, to = node, &phase, r, op,
+                                 store] {
+          const auto offer = [&phase, r, op](const Stamped<T>& s) {
+            phase.offer(r, op, s.ts, s.val);
+          };
+          if (store) {
+            reg->store_at(r, to, *store, offer);
+          } else {
+            reg->answer_query(r, to, offer);
+          }
+        });
+      }
+    }
+
+    // One poll per unit of budget.
+    bool await(QuorumCollector<T>& phase, std::uint64_t polls) {
+      for (std::uint64_t i = 0; i < polls; ++i) {
+        reg->net_.poll();
+        if (phase.quorum()) return true;
+      }
+      return false;
+    }
   };
 
-  // STORE, from the writer or a reader's write-back. The auditor checks
-  // each ack against the replica's stable storage.
-  void send_store(Endpoint& ep, int r, std::uint64_t op,
-                  const Stamped<T>& req) {
-    net_.send(ep.node, r, [this, &ep, r, op, req] {
-      SimDurable dur{cfg_.amnesia == Amnesia::kAckBeforePersist
-                         ? nullptr
-                         : &durable_[static_cast<std::size_t>(r)]};
-      const std::optional<std::uint64_t> acked =
-          replicas_[static_cast<std::size_t>(r)].on_store(req.ts, req.val,
-                                                          dur);
-      if (!acked) return;
-      net_.durable().audit_ack(access_.cell(), access_.decl().owner, r,
-                               *acked);
-      net_.send(r, ep.node, [&ep, r, op, ts = *acked] {
-        ep.phase.offer(r, op, ts, T{});
-      });
-    });
+  // STORE at replica r, from the writer or a reader's write-back. The
+  // auditor checks the ack against the replica's stable storage, and
+  // `deliver` takes (acked ts, T{}) at node `to`.
+  template <typename Deliver>
+  void store_at(int r, int to, const Stamped<T>& req, Deliver deliver) {
+    SimDurable dur{cfg_.amnesia == Amnesia::kAckBeforePersist
+                       ? nullptr
+                       : &durable_[static_cast<std::size_t>(r)]};
+    const std::optional<std::uint64_t> acked =
+        replicas_[static_cast<std::size_t>(r)].on_store(req.ts, req.val, dur);
+    if (!acked) return;
+    net_.durable().audit_ack(access_.cell(), access_.decl().owner, r,
+                             *acked);
+    net_.send(r, to, [deliver, ts = *acked] { deliver(Stamped<T>{ts, T{}}); });
   }
 
   // QUERY or SYNC_REQ at replica r: if it serves, its state is audited
@@ -275,45 +276,6 @@ class ReplicatedRegister {
     }
   }
 
-  // Collects a quorum for a fresh phase — a STORE of `store`, or a QUERY
-  // without one — retrying with bounded exponential backoff. Returns
-  // false (Unavailable) once the budget is spent.
-  bool quorum_phase(Endpoint& ep, const std::optional<Stamped<T>>& store) {
-    ++net_.stats().client_phases;
-    const std::uint64_t op = ep.phase.begin();
-    const int n = cfg_.replicas();
-    for (unsigned attempt = 0; attempt < cfg_.max_attempts; ++attempt) {
-      if (attempt > 0) ++net_.stats().client_retries;
-      for (int r = 0; r < n; ++r) {
-        if (store) {
-          send_store(ep, r, op, *store);
-        } else {
-          net_.send(ep.node, r, [this, &ep, r, op] {
-            answer_query(r, ep.node, [&ep, r, op](const Stamped<T>& reply) {
-              ep.phase.offer(r, op, reply.ts, reply.val);
-            });
-          });
-        }
-      }
-      for (unsigned i = 0; i < cfg_.timeout_polls; ++i) {
-        net_.poll();
-        if (ep.phase.quorum()) return true;
-      }
-      if (attempt + 1 == cfg_.max_attempts) break;
-      // Bounded exponential backoff with deterministic jitter. Backoff
-      // polls still drive the network, so a late quorum short-circuits.
-      const std::uint64_t window = backoff_window(
-          cfg_.backoff_base, cfg_.backoff_cap, attempt, ep.jitter);
-      for (std::uint64_t i = 0; i < window; ++i) {
-        ++net_.stats().client_backoff_polls;
-        net_.poll();
-        if (ep.phase.quorum()) return true;
-      }
-    }
-    ++net_.stats().client_unavailable;
-    return false;
-  }
-
   SimNet& net_;
   NetConfig cfg_;
   sched::AccessLabel access_;  // model-level SWMR identity of this cell
@@ -321,8 +283,8 @@ class ReplicatedRegister {
   std::vector<Replica> replicas_;          // volatile state (crash-lost)
   std::vector<DurableRecord<T>> durable_;  // stable state (crash-proof)
   std::uint64_t hook_token_ = 0;
-  // The writer, then one endpoint per reader slot.
-  std::deque<Endpoint> endpoints_;
+  // The writer, then one client per reader slot.
+  std::deque<AbdClient<T, SimLink>> clients_;
   std::uint64_t write_ts_ = 0;
 };
 

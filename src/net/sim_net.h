@@ -38,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/abd_core.h"
 #include "net/durable_state.h"
 #include "net/net_plan.h"
 #include "sched/access.h"
@@ -46,8 +47,8 @@
 namespace compreg::net {
 
 // Transport- and client-level counters for one SimNet lifetime. The
-// client_* fields are filled in by the robustness layer
-// (ReplicatedRegister) so every fabric-wide metric lives in one place.
+// client fields are filled in by the replicated registers' clients, so
+// every fabric-wide metric lives in one place.
 struct NetStats {
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
@@ -61,15 +62,9 @@ struct NetStats {
   std::uint64_t reordered = 0;
   std::uint64_t replica_recoveries = 0;  // completed rejoin events
   // Rejoin resynchronization traffic (queries + replies), filled in by
-  // the robustness layer like the client_* fields below.
+  // the replicated registers like `client` below.
   std::uint64_t catchup_msgs = 0;
-  // Client robustness layer (quorum phases).
-  std::uint64_t client_phases = 0;
-  std::uint64_t client_retries = 0;
-  std::uint64_t client_backoff_polls = 0;
-  std::uint64_t client_unavailable = 0;
-  std::uint64_t client_writebacks = 0;
-  std::uint64_t client_writeback_skips = 0;
+  ClientStats client;  // every client of every register, summed
 };
 
 class SimNet {

@@ -38,12 +38,6 @@ std::uint64_t us_since(SteadyPoint t0) {
   return us.count() < 0 ? 0 : static_cast<std::uint64_t>(us.count());
 }
 
-// Quorum phases implied by a RealClientStats delta: one per write, one
-// per read query, one per read write-back.
-std::uint64_t phases(const RealClientStats& s) {
-  return s.writes + s.reads + s.writebacks;
-}
-
 // One worker's connection to the fleet: its own socket endpoint `node`,
 // the configured client-side fault plan over it (an empty plan text
 // parses to no plan), and an ABD client over both.
@@ -127,7 +121,7 @@ void Server::write_worker_main() {
       }
       const RealClientStats& s = client.stats();
       rec->count(Counter::kRetries, s.retries - last.retries);
-      rec->count(Counter::kQuorumRounds, phases(s) - phases(last));
+      rec->count(Counter::kQuorumRounds, s.phases - last.phases);
       last = s;
       complete(c);
     }
@@ -151,7 +145,7 @@ void Server::read_worker_main() {
     const auto r = client.try_read();
     const RealClientStats& s = client.stats();
     rec->count(Counter::kRetries, s.retries - last.retries);
-    rec->count(Counter::kQuorumRounds, phases(s) - phases(last));
+    rec->count(Counter::kQuorumRounds, s.phases - last.phases);
     last = s;
     rec->count(Counter::kBatchRounds);
     rec->count(Counter::kBatchedReads, batch.size());

@@ -67,6 +67,10 @@ TEST(FaultPlanTest, RejectsJunk) {
       "explode:0@4",
       "crash 0@4",
       "crash:-1@4",
+      "crash:0@-1",       // would wrap to 2^64-1: never fires
+      "crash:0@+4",
+      "crash: 0@4",
+      "stall:0@4+-1",
   };
   for (const char* text : junk) {
     EXPECT_FALSE(FaultPlan::parse(text).has_value()) << "'" << text << "'";

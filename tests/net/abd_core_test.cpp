@@ -1,12 +1,16 @@
 // The sans-IO ABD core (net/abd_core.h) on its own: the replica
 // handlers against a fake stable storage that logs every call, the
-// quorum collector and the read rule, and the bounds on f. Both the
-// SimNet register and the socket register run exactly this code.
+// quorum collector and the read rule, the client's retry loop and read
+// sequence over a scripted link, and the bounds on f. Both the SimNet
+// register and the socket register run exactly this code.
 #include "net/abd_core.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -176,6 +180,154 @@ TEST(QuorumCollectorTest, UniformQuorumSkipsWriteBackAndFirstMaxWins) {
   choice = phase.read_choice();
   EXPECT_TRUE(choice.write_back);
   EXPECT_EQ(choice.val, 60u);
+}
+
+// A link whose replicas are a script. It logs every call; each await
+// runs the next scripted step, which may offer replies, and then
+// reports the quorum. Awaits alternate: an attempt's wait (budget 10),
+// then a backoff window.
+using Phase = QuorumCollector<std::uint64_t>;
+using Step = std::function<void(Phase&, std::uint64_t op)>;
+
+struct ScriptLink {
+  std::vector<std::string>* log;
+  std::deque<Step>* steps;
+  std::uint64_t op = 0;  // of the last broadcast
+
+  void broadcast(Phase& /*phase*/, std::uint64_t op_id,
+                 const std::optional<Stamped<std::uint64_t>>& store) {
+    op = op_id;
+    log->push_back((store ? "store " + std::to_string(store->ts) + " "
+                          : std::string("query ")) +
+                   "op=" + std::to_string(op_id));
+  }
+  bool await(Phase& phase, std::uint64_t budget) {
+    log->push_back("wait " + std::to_string(budget));
+    if (!steps->empty()) {
+      steps->front()(phase, op);
+      steps->pop_front();
+    }
+    return phase.quorum();
+  }
+};
+
+static_assert(AbdLink<ScriptLink, std::uint64_t>);
+
+constexpr RetryBudget kBudget{/*max_attempts=*/4, /*attempt=*/10,
+                              /*backoff_base=*/2, /*backoff_cap=*/32};
+constexpr std::uint64_t kSeed = 77;
+constexpr int kNode = 5;
+
+struct ScriptedClient {
+  std::vector<std::string> log;
+  std::deque<Step> steps;
+  ClientStats stats;
+  AbdClient<std::uint64_t, ScriptLink> client{
+      /*f=*/1, kNode, kBudget, kSeed, stats, ScriptLink{&log, &steps}};
+};
+
+Step reply(int replica, std::uint64_t ts, std::uint64_t val) {
+  return [=](Phase& phase, std::uint64_t op) {
+    phase.offer(replica, op, ts, val);
+  };
+}
+
+const Step kSilence = [](Phase&, std::uint64_t) {};
+
+TEST(AbdClientTest, UnavailableAfterExactlyMaxAttemptsOneDrawPerBackoff) {
+  ScriptedClient c;
+  EXPECT_EQ(c.client.read(), std::nullopt);
+  // The windows a fresh jitter stream gives with one draw per backoff.
+  Rng replay(kSeed ^ (static_cast<std::uint64_t>(kNode) * 0x9e3779b9ull));
+  std::vector<std::string> want;
+  for (unsigned attempt = 0; attempt < kBudget.max_attempts; ++attempt) {
+    want.push_back("query op=1");
+    want.push_back("wait 10");
+    if (attempt + 1 < kBudget.max_attempts) {
+      want.push_back("wait " + std::to_string(backoff_window(
+                                   2, 32, attempt, replay)));
+    }
+  }
+  EXPECT_EQ(c.log, want);
+  EXPECT_EQ(c.stats.phases, 1u);
+  EXPECT_EQ(c.stats.retries, kBudget.max_attempts - 1);
+  EXPECT_EQ(c.stats.unavailable, 1u);
+  EXPECT_EQ(c.stats.reads, 1u);
+}
+
+TEST(AbdClientTest, LateReplyToAnEarlierAttemptStillCounts) {
+  ScriptedClient c;
+  // Attempt 1 hears replica 0 only; attempt 2 re-broadcasts under the
+  // same op id, and replica 1's reply completes the quorum with it.
+  c.steps = {reply(0, 3, 30), kSilence, reply(1, 3, 30)};
+  const std::optional<Stamped<std::uint64_t>> got = c.client.read();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->ts, 3u);
+  EXPECT_EQ(got->val, 30u);
+  ASSERT_EQ(c.log.size(), 5u);
+  EXPECT_EQ(c.log[0], "query op=1");
+  EXPECT_EQ(c.log[3], "query op=1");
+  EXPECT_EQ(c.stats.retries, 1u);
+  EXPECT_EQ(c.stats.unavailable, 0u);
+}
+
+TEST(AbdClientTest, UniformQuorumSkipsTheWriteBack) {
+  ScriptedClient c;
+  c.steps = {[](Phase& phase, std::uint64_t op) {
+    phase.offer(2, op, 5, 50);
+    phase.offer(0, op, 5, 50);
+  }};
+  const std::optional<Stamped<std::uint64_t>> got = c.client.read();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->ts, 5u);
+  EXPECT_EQ(got->val, 50u);
+  EXPECT_EQ(c.log, (std::vector<std::string>{"query op=1", "wait 10"}));
+  EXPECT_EQ(c.stats.writeback_skips, 1u);
+  EXPECT_EQ(c.stats.writebacks, 0u);
+  EXPECT_EQ(c.stats.phases, 1u);
+}
+
+TEST(AbdClientTest, DisagreeingQuorumWritesTheMaximumBack) {
+  ScriptedClient c;
+  c.steps = {[](Phase& phase, std::uint64_t op) {
+               phase.offer(0, op, 3, 30);
+               phase.offer(1, op, 5, 50);
+             },
+             [](Phase& phase, std::uint64_t op) {
+               phase.offer(1, op, 5, 0);
+               phase.offer(2, op, 5, 0);
+             }};
+  const std::optional<Stamped<std::uint64_t>> got = c.client.read();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->ts, 5u);
+  EXPECT_EQ(got->val, 50u);
+  EXPECT_EQ(c.log, (std::vector<std::string>{"query op=1", "wait 10",
+                                             "store 5 op=2", "wait 10"}));
+  EXPECT_EQ(c.stats.writebacks, 1u);
+  EXPECT_EQ(c.stats.phases, 2u);
+}
+
+TEST(AbdClientTest, FailedWriteBackMakesTheReadUnavailable) {
+  ScriptedClient c;
+  c.steps = {[](Phase& phase, std::uint64_t op) {
+    phase.offer(0, op, 3, 30);
+    phase.offer(1, op, 5, 50);
+  }};  // then no replica acknowledges the write-back
+  EXPECT_EQ(c.client.read(), std::nullopt);
+  EXPECT_EQ(c.log[2], "store 5 op=2");
+  EXPECT_EQ(c.stats.writebacks, 0u);
+  EXPECT_EQ(c.stats.unavailable, 1u);
+  EXPECT_EQ(c.stats.phases, 2u);
+}
+
+TEST(AbdClientTest, WriteStoresTheCallersTimestamp) {
+  ScriptedClient c;
+  EXPECT_FALSE(c.client.write(9, 90));
+  EXPECT_EQ(c.log.front(), "store 9 op=1");
+  c.steps = {reply(0, 10, 0), reply(1, 10, 0)};
+  EXPECT_TRUE(c.client.write(10, 100));
+  EXPECT_EQ(c.stats.writes, 2u);
+  EXPECT_EQ(c.stats.unavailable, 1u);
 }
 
 TEST(AbdBoundsDeathTest, FOutsideOneTo31IsRejected) {

@@ -68,7 +68,7 @@ void expect_stats_invariants(const SweepResult& run) {
                 s.dropped_crash + s.dropped_down + run.pending);
   // Each quorum phase retries at most max_attempts - 1 times.
   const NetConfig defaults;
-  EXPECT_LE(s.client_retries, s.client_phases * (defaults.max_attempts - 1));
+  EXPECT_LE(s.client.retries, s.client.phases * (defaults.max_attempts - 1));
   // Catch-up traffic only exists once some replica actually rejoined.
   if (s.replica_recoveries == 0) {
     EXPECT_EQ(s.catchup_msgs, 0u);
@@ -150,7 +150,7 @@ TEST(NetChaosTest, PartitionedMinorityAllPending) {
   const lin::HistoryStats hs = lin::compute_stats(run.history);
   EXPECT_EQ(hs.pending_writes, 2u * 1u);  // each writer dies on write 1
   EXPECT_EQ(hs.pending_reads, 1u);
-  EXPECT_GT(run.stats.client_unavailable, 0u);
+  EXPECT_GT(run.stats.client.unavailable, 0u);
   expect_stats_invariants(run);
   const lin::CheckResult sl = lin::check_shrinking_lemma(run.history);
   EXPECT_TRUE(sl.ok) << sl.violation;
@@ -207,8 +207,8 @@ TEST(NetChaosTest, DeterministicReplay) {
   EXPECT_EQ(dump_of(a), dump_of(b));
   EXPECT_EQ(a.stats.sent, b.stats.sent);
   EXPECT_EQ(a.stats.delivered, b.stats.delivered);
-  EXPECT_EQ(a.stats.client_retries, b.stats.client_retries);
-  EXPECT_EQ(a.stats.client_unavailable, b.stats.client_unavailable);
+  EXPECT_EQ(a.stats.client.retries, b.stats.client.retries);
+  EXPECT_EQ(a.stats.client.unavailable, b.stats.client.unavailable);
   EXPECT_EQ(a.stats.replica_recoveries, b.stats.replica_recoveries);
   EXPECT_EQ(a.stats.catchup_msgs, b.stats.catchup_msgs);
   // And a different schedule seed genuinely changes the execution.

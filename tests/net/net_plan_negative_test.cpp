@@ -73,6 +73,18 @@ TEST(NetPlanNegativeTest, ScalarValueErrorsNameTheSpec) {
   expect_error("reorder:-5", {"reorder"});
 }
 
+// Numbers are digits only. A sign would wrap (-1 becomes 2^64-1, a
+// fault that never fires) or break the to_string() round trip, and so
+// would a leading space.
+TEST(NetPlanNegativeTest, SignsAndSpacesAreNotNumbers) {
+  expect_error("crash:0@-1", {"crash", "0@-1"});
+  expect_error("partition:-1+5@0", {"partition", "-1+5@0"});
+  expect_error("drop:+100", {"drop", "+100"});
+  expect_error("recover: 0@1+2", {"recover", " 0@1+2"});
+  expect_error("delay:100+-3", {"delay"});
+  expect_error("partition:0+5@ 1", {"partition"});
+}
+
 TEST(NetPlanNegativeTest, StructuralErrors) {
   expect_error("", {"malformed plan"});
   expect_error("drop:100,", {"malformed plan"});

@@ -350,6 +350,28 @@ TEST(FaultyTransportTest, PartitionWindowBlocksBothDirections) {
   EXPECT_GE(replica.stats().dropped_partition, 1u);
 }
 
+// The fault layer hands a wake up instead of polling again: a replica
+// that sleeps in poll(Deadline::never()) must still see its SIGTERM.
+TEST(FaultyTransportTest, WakeEndsAnUnboundedPoll) {
+  ScratchDir dir;
+  SocketTransport socket(
+      TransportConfig{TransportKind::kUds, 0, 3, dir.path, 0});
+  auto plan = NetFaultPlan::parse("delay:500+5");
+  ASSERT_TRUE(plan.has_value());
+  FaultyTransport net(socket, *plan, 1, std::chrono::steady_clock::now());
+  std::atomic<bool> polling{false};
+  std::thread waker([&] {
+    while (!polling.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(milliseconds(20));
+    socket.wake();
+  });
+  polling.store(true);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(net.poll(Deadline::never()).has_value());
+  waker.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, milliseconds(5000));
+}
+
 TEST(FaultyTransportTest, DelayedMessageStillArrives) {
   ScratchDir dir;
   TransportConfig replica_cfg{TransportKind::kUds, 0, 3, dir.path, 0};

@@ -72,8 +72,8 @@ TEST(ReplicatedRegisterTest, UniformQuorumSkipsWriteBack) {
   reg.write(5);
   EXPECT_EQ(reg.read(0), 5u);
   // Clean network: the read quorum agrees, phase 2 is provably a no-op.
-  EXPECT_GE(net.stats().client_writeback_skips, 1u);
-  EXPECT_EQ(net.stats().client_writebacks, 0u);
+  EXPECT_GE(net.stats().client.writeback_skips, 1u);
+  EXPECT_EQ(net.stats().client.writebacks, 0u);
 }
 
 TEST(ReplicatedRegisterTest, ReadWritesBackAMinorityWrite) {
@@ -89,8 +89,8 @@ TEST(ReplicatedRegisterTest, ReadWritesBackAMinorityWrite) {
   EXPECT_EQ(reg.replica_ts(1), 0u);
   while (net.now() < 400) net.poll();
   EXPECT_EQ(reg.read(0), 5u);
-  EXPECT_GE(net.stats().client_writebacks, 1u);
-  EXPECT_EQ(net.stats().client_writeback_skips, 0u);
+  EXPECT_GE(net.stats().client.writebacks, 1u);
+  EXPECT_EQ(net.stats().client.writeback_skips, 0u);
   EXPECT_GE(reg.replica_ts(1) + reg.replica_ts(2), 1u);
 }
 
@@ -104,7 +104,7 @@ TEST(ReplicatedRegisterTest, RetriesThroughHeavyLoss) {
     EXPECT_EQ(reg.read(0), v);
   }
   EXPECT_GT(net.stats().dropped_loss, 0u);
-  EXPECT_EQ(net.stats().client_unavailable, 0u);
+  EXPECT_EQ(net.stats().client.unavailable, 0u);
 }
 
 TEST(ReplicatedRegisterTest, ToleratesFCrashes) {
@@ -116,7 +116,7 @@ TEST(ReplicatedRegisterTest, ToleratesFCrashes) {
     reg.write(v);
     EXPECT_EQ(reg.read(0), v);
   }
-  EXPECT_EQ(net.stats().client_unavailable, 0u);
+  EXPECT_EQ(net.stats().client.unavailable, 0u);
   EXPECT_EQ(reg.replica_ts(2), 0u);  // the corpse never adopted anything
 }
 
@@ -126,11 +126,11 @@ TEST(ReplicatedRegisterTest, TotalLossDegradesToUnavailableBounded) {
   ReplicatedRegister<std::uint64_t> reg(net, cfg, /*readers=*/1, 9);
   EXPECT_FALSE(reg.try_write(1));
   EXPECT_EQ(reg.try_read(0), std::nullopt);
-  EXPECT_EQ(net.stats().client_unavailable, 2u);
+  EXPECT_EQ(net.stats().client.unavailable, 2u);
   // Bounded: max_attempts timeouts plus capped backoff windows, per op.
   const std::uint64_t per_phase =
-      cfg.max_attempts * cfg.timeout_polls +
-      (cfg.max_attempts - 1) * (cfg.backoff_cap + cfg.backoff_cap / 2 + 1);
+      cfg.max_attempts * kAttemptPolls +
+      (cfg.max_attempts - 1) * (kBackoffCapPolls + kBackoffCapPolls / 2 + 1);
   EXPECT_LE(net.stats().polls, 2 * per_phase);
 }
 
@@ -165,7 +165,7 @@ TEST(ReplicatedRegisterTest, DuplicationIsIdempotent) {
     EXPECT_EQ(reg.read(0), v);
   }
   EXPECT_GT(net.stats().duplicated, 0u);
-  EXPECT_EQ(net.stats().client_unavailable, 0u);
+  EXPECT_EQ(net.stats().client.unavailable, 0u);
 }
 
 TEST(ReplicatedRegisterTest, ReorderAndDelayTolerated) {
@@ -176,7 +176,7 @@ TEST(ReplicatedRegisterTest, ReorderAndDelayTolerated) {
     reg.write(v);
     EXPECT_EQ(reg.read(static_cast<int>(v) % 2), v);
   }
-  EXPECT_EQ(net.stats().client_unavailable, 0u);
+  EXPECT_EQ(net.stats().client.unavailable, 0u);
 }
 
 TEST(ReplicatedRegisterTest, StaleRepliesNeverSatisfyANewPhase) {
@@ -225,7 +225,7 @@ TEST(ReplicatedRegisterTest, RejoinCatchUpRestoresState) {
   EXPECT_TRUE(reg.replica_serving(2));
   EXPECT_EQ(reg.replica_ts(2), reg.write_ts());
   EXPECT_EQ(reg.replica_val(2), 12u);
-  EXPECT_EQ(net.stats().client_unavailable, 0u);
+  EXPECT_EQ(net.stats().client.unavailable, 0u);
   // A correct implementation never trips the durability auditor.
   EXPECT_TRUE(net.durable().report().findings.empty());
 }
@@ -242,11 +242,11 @@ TEST(ReplicatedRegisterTest, RepeatedRecoveriesStayAvailable) {
     EXPECT_EQ(reg.read(0), v);
   }
   EXPECT_GE(net.stats().replica_recoveries, 2u);
-  EXPECT_EQ(net.stats().client_unavailable, 0u);
+  EXPECT_EQ(net.stats().client.unavailable, 0u);
   EXPECT_TRUE(net.durable().report().findings.empty());
 }
 
-// Satellite: the client backoff window — capped at backoff_cap,
+// The client backoff window: capped at backoff_cap,
 // deterministic under a fixed jitter seed, and shift-safe for attempt
 // counts past the word width.
 TEST(BackoffWindowTest, CapBoundsEveryWindow) {

@@ -5,11 +5,13 @@
 // defaulted 0.
 #pragma once
 
-#include <cerrno>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+
+#include "util/decimal.h"
 
 namespace compreg::tools {
 
@@ -28,21 +30,19 @@ constexpr int kExitUsage = 64;
   std::exit(kExitUsage);
 }
 
-// Parses a numeric flag's value strictly: the whole string must be a
-// decimal integer in [lo, hi]. Anything else — empty, a sign, trailing
-// junk, overflow, out of range — is a usage error (exit 64).
+// Parses a numeric flag's value with parse_decimal (util/decimal.h): the
+// whole string must be a decimal integer in [lo, hi]. Anything else —
+// empty, a sign, trailing junk, overflow, out of range — is a usage
+// error (exit 64).
 inline std::uint64_t parse_number(const char* flag, const char* text,
                                   std::uint64_t lo, std::uint64_t hi) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE ||
-      v < lo || v > hi) {
+  const std::optional<std::uint64_t> v = parse_decimal(text, lo, hi);
+  if (!v) {
     usage_error("%s takes an integer in [%llu, %llu], got '%s'", flag,
                 static_cast<unsigned long long>(lo),
                 static_cast<unsigned long long>(hi), text);
   }
-  return v;
+  return *v;
 }
 
 }  // namespace compreg::tools
