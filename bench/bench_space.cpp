@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "core/composite_register.h"
-#include "theory/theory_cell.h"
+#include "theory/chain.h"
 #include "util/space_accounting.h"
 
 namespace {

@@ -7,7 +7,7 @@
 //  * RegularMValued: <= v+1 bit-writes to write v, <= v+1 bit-reads to
 //    read value v (unary coding, scan-from-zero);
 //  * AtomicSwsr: exactly 1 regular-register op per operation;
-//  * AtomicMrswFromSwsr: write = R SWSR writes; read = R SWSR reads +
+//  * TheoryCell: write = R SWSR writes; read = R SWSR reads +
 //    (R-1) SWSR writes — readers must write.
 #include <cinttypes>
 #include <cstdio>
@@ -81,11 +81,12 @@ int main() {
                 w.regular_writes, r.regular_reads);
   }
 
-  std::printf("\n-- AtomicMrswFromSwsr: readers must write --\n");
+  std::printf("\n-- TheoryCell (full-information MRSW): readers must "
+              "write --\n");
   std::printf("%4s %14s %14s %14s\n", "R", "write SWSR ops",
               "read SWSR reads", "read SWSR writes");
   for (int readers : {1, 2, 4, 8}) {
-    AtomicMrswFromSwsr<int> reg(readers, 0);
+    TheoryCell<int> reg(readers, 0);
     TheoryOps before = theory_ops();
     reg.write(7);
     const TheoryOps w = delta_since(before);

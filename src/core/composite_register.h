@@ -28,7 +28,7 @@
 // hardware-backed registers::WordCell). theory::TheoryCell can be used
 // for both, which instantiates the construction on the safe-bit
 // register chain — the entire hierarchy of the literature in one stack
-// (simulator-only; see theory/theory_cell.h).
+// (simulator-only; see theory/chain.h).
 #pragma once
 
 #include <algorithm>

@@ -48,6 +48,16 @@ bool parse_partition(const std::string& body, PartitionSpec& out) {
 
 }  // namespace
 
+bool NetFaultPlan::partitioned(std::uint64_t step, int a, int b) const {
+  for (const PartitionSpec& p : partitions) {
+    if (step < p.at_step || step >= p.at_step + p.duration) continue;
+    const bool a_in = std::binary_search(p.group.begin(), p.group.end(), a);
+    const bool b_in = std::binary_search(p.group.begin(), p.group.end(), b);
+    if (a_in != b_in) return true;
+  }
+  return false;
+}
+
 std::string NetFaultPlan::to_string() const {
   std::ostringstream os;
   bool first = true;

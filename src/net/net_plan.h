@@ -109,6 +109,11 @@ struct NetFaultPlan {
            recoveries.empty();
   }
 
+  // Whether a partition window open at `step` puts a and b on opposite
+  // sides of its group. The one partition rule of both SimNet (network
+  // steps) and FaultyTransport (milliseconds since the fleet epoch).
+  bool partitioned(std::uint64_t step, int a, int b) const;
+
   std::string to_string() const;
   static std::optional<NetFaultPlan> parse(const std::string& text);
   // On failure, *error (if non-null) names the offending spec and the

@@ -1,7 +1,5 @@
 #include "net/real/fault_transport.h"
 
-#include <algorithm>
-
 namespace compreg::net::real {
 
 FaultyTransport::FaultyTransport(Transport& inner, NetFaultPlan plan,
@@ -16,15 +14,8 @@ std::uint64_t FaultyTransport::now_ms() const {
 }
 
 bool FaultyTransport::partition_blocks(int a, int b) const {
-  if (plan_.partitions.empty()) return false;
-  const std::uint64_t now = now_ms();
-  for (const PartitionSpec& p : plan_.partitions) {
-    if (now < p.at_step || now >= p.at_step + p.duration) continue;
-    const bool a_in = std::binary_search(p.group.begin(), p.group.end(), a);
-    const bool b_in = std::binary_search(p.group.begin(), p.group.end(), b);
-    if (a_in != b_in) return true;
-  }
-  return false;
+  // No clock read per frame when the plan has no partition.
+  return !plan_.partitions.empty() && plan_.partitioned(now_ms(), a, b);
 }
 
 void FaultyTransport::send(int dst, const WireMsg& msg) {

@@ -67,18 +67,6 @@ std::uint64_t SimNet::processed(int node) const {
   return processed_[static_cast<std::size_t>(node)];
 }
 
-bool SimNet::partition_blocks(int src, int dst) const {
-  for (const PartitionSpec& p : plan_.partitions) {
-    if (now_ < p.at_step || now_ >= p.at_step + p.duration) continue;
-    const bool src_in =
-        std::binary_search(p.group.begin(), p.group.end(), src);
-    const bool dst_in =
-        std::binary_search(p.group.begin(), p.group.end(), dst);
-    if (src_in != dst_in) return true;
-  }
-  return false;
-}
-
 void SimNet::send(int src, int dst, std::function<void()> deliver) {
   // A reply sent from inside a delivery closure is part of the
   // triggering poll's network step; a client-side send is its own
@@ -119,7 +107,7 @@ void SimNet::send(int src, int dst, std::function<void()> deliver) {
 }
 
 void SimNet::deliver_one(Envelope env) {
-  if (partition_blocks(env.src, env.dst)) {
+  if (plan_.partitioned(now_, env.src, env.dst)) {
     ++stats_.dropped_partition;
     return;
   }

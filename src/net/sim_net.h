@@ -150,7 +150,6 @@ class SimNet {
     std::uint64_t up_at = 0;  // network step the downtime expires
   };
 
-  bool partition_blocks(int src, int dst) const;
   void deliver_one(Envelope env);
   void rejoin_due();
 

@@ -11,6 +11,6 @@ namespace compreg::registers {
 template class WordRegister<std::uint8_t>;
 template class SimpsonRegister<std::uint64_t>;
 template class HazardCell<std::uint64_t>;
-template class TaggedCell<std::uint64_t>;
+template class FullInfoCell<std::uint64_t, SimpsonRegister>;
 
 }  // namespace compreg::registers

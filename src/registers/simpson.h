@@ -9,13 +9,13 @@
 // (non-atomic) payload copies safe.
 //
 // Used as the leaf register of the strictly wait-free TaggedCell
-// (MRSW-from-SWSR construction) and available on its own. Note this is
-// a *building block* below the MRSW model granularity: it does not
-// count toward op_counters() and does not take schedule points; the
-// cells built from it do. Each operation is still reported to the
-// conformance analyzer via sched::observe() — the four-slot protocol is
-// only correct under SWSR discipline (one writing and one reading
-// process), so the analyzer certifies exactly that.
+// (FullInfoCell's MRSW-from-SWSR construction) and available on its
+// own. Note this is a *building block* below the MRSW model
+// granularity: it does not count toward op_counters() and does not take
+// schedule points; the cells built from it do. Each operation is still
+// reported to the conformance analyzer via sched::observe() — the
+// four-slot protocol is only correct under SWSR discipline (one writing
+// and one reading process), so the analyzer certifies exactly that.
 #pragma once
 
 #include <atomic>
@@ -38,6 +38,9 @@ class SimpsonRegister {
 
   SimpsonRegister(const SimpsonRegister&) = delete;
   SimpsonRegister& operator=(const SimpsonRegister&) = delete;
+
+  // Runs inside the enclosing cell's schedule point (FullInfoCell).
+  static constexpr bool kTakesPoints = false;
 
   // Single writer.
   void write(const T& item) {

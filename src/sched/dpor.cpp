@@ -312,20 +312,17 @@ class Engine {
   }
 
   AccessObserver* tee_for(int worker) {
-    if (opts_.tee_for_worker) {
-      std::lock_guard<std::mutex> lock(tee_mu_);
-      if (static_cast<std::size_t>(worker) >= tees_.size()) {
-        tees_.resize(static_cast<std::size_t>(worker) + 1, nullptr);
-        tee_made_.resize(static_cast<std::size_t>(worker) + 1, 0);
-      }
-      if (tee_made_[static_cast<std::size_t>(worker)] == 0) {
-        tees_[static_cast<std::size_t>(worker)] =
-            opts_.tee_for_worker(worker);
-        tee_made_[static_cast<std::size_t>(worker)] = 1;
-      }
-      return tees_[static_cast<std::size_t>(worker)];
+    if (!opts_.tee_for_worker) return nullptr;
+    std::lock_guard<std::mutex> lock(tee_mu_);
+    if (static_cast<std::size_t>(worker) >= tees_.size()) {
+      tees_.resize(static_cast<std::size_t>(worker) + 1, nullptr);
+      tee_made_.resize(static_cast<std::size_t>(worker) + 1, 0);
     }
-    return opts_.tee;
+    if (tee_made_[static_cast<std::size_t>(worker)] == 0) {
+      tees_[static_cast<std::size_t>(worker)] = opts_.tee_for_worker(worker);
+      tee_made_[static_cast<std::size_t>(worker)] = 1;
+    }
+    return tees_[static_cast<std::size_t>(worker)];
   }
 
   // --- tree ---
@@ -857,10 +854,6 @@ DporResult explore_dpor(const DporScenario& scenario, const DporOptions& opts) {
   COMPREG_CHECK(opts.jobs >= 1, "DPOR jobs must be >= 1 (got %d)", opts.jobs);
   COMPREG_CHECK(opts.wave_size >= 1, "DPOR wave_size must be >= 1 (got %d)",
                 opts.wave_size);
-  COMPREG_CHECK(opts.tee == nullptr || opts.tee_for_worker || opts.jobs == 1,
-                "a single tee observer cannot serve %d parallel workers; "
-                "set tee_for_worker",
-                opts.jobs);
   if (opts.symmetry.active()) {
     COMPREG_CHECK(opts.symmetry.count <= 6,
                   "reader symmetry supports at most 6 group members "

@@ -140,12 +140,9 @@ struct DporOptions {
   // Applied identically to every explored schedule. Must not hang, and
   // must not target symmetry-group processes when symmetry is active.
   fault::FaultPlan plan;
-  // Receives every labeled access of every execution (the conformance
-  // analyzer). Jobs == 1 only; parallel runs must use tee_for_worker.
-  AccessObserver* tee = nullptr;
-  // Parallel-safe tee: called once per worker at startup; the returned
-  // observer sees exactly that worker's executions, serialized. Takes
-  // precedence over tee when set.
+  // Observer of every labeled access (the conformance analyzer): called
+  // once per worker at startup; the returned observer sees exactly that
+  // worker's executions, serialized.
   std::function<AccessObserver*(int worker)> tee_for_worker;
   // Called when an execution is dispatched, with the schedule prefix
   // about to be replayed (the continuation past the prefix is

@@ -5,7 +5,6 @@
 #include <thread>
 #include <vector>
 
-#include "net/net_plan.h"
 #include "net/real/client.h"
 #include "net/real/fault_transport.h"
 #include "util/assert.h"
@@ -14,7 +13,6 @@ namespace compreg::server {
 namespace {
 
 using compreg::net::Deadline;
-using compreg::net::NetFaultPlan;
 using compreg::net::real::FaultyTransport;
 using compreg::net::real::RealAbdClient;
 using compreg::net::real::RealClientConfig;
@@ -39,8 +37,8 @@ std::uint64_t us_since(SteadyPoint t0) {
 }
 
 // One worker's connection to the fleet: its own socket endpoint `node`,
-// the configured client-side fault plan over it (an empty plan text
-// parses to no plan), and an ABD client over both.
+// the configured client-side fault plan over it, and an ABD client over
+// both.
 struct FleetLink {
   SocketTransport sock;
   FaultyTransport net;
@@ -49,8 +47,7 @@ struct FleetLink {
   FleetLink(const ServerConfig& cfg, int node, std::uint64_t salt)
       : sock(TransportConfig{cfg.kind, node, cfg.replicas(), cfg.fleet_dir,
                              static_cast<std::uint16_t>(cfg.fleet_base_port)}),
-        net(sock, NetFaultPlan::parse(cfg.plan_text).value_or(NetFaultPlan{}),
-            cfg.seed ^ salt, epoch_point(cfg.epoch_ns)),
+        net(sock, cfg.plan, cfg.seed ^ salt, epoch_point(cfg.epoch_ns)),
         client(net, client_config(cfg), epoch_point(cfg.epoch_ns)) {}
 
   static RealClientConfig client_config(const ServerConfig& cfg) {

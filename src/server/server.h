@@ -47,6 +47,7 @@
 #include <cstdint>
 #include <string>
 
+#include "net/net_plan.h"
 #include "net/real/transport.h"
 #include "server/admission.h"
 #include "server/protocol.h"
@@ -73,8 +74,9 @@ struct ServerConfig {
   unsigned attempt_ms = 100;
   unsigned max_attempts = 8;
 
-  // Optional client-side fault plan against the fleet (chaos runs).
-  std::string plan_text;
+  // Client-side fault plan against the fleet (chaos runs); the
+  // default plan injects nothing.
+  net::NetFaultPlan plan;
   std::uint64_t seed = 1;
   std::int64_t epoch_ns = 0;  // shared fleet epoch
 

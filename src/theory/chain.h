@@ -22,7 +22,8 @@
 //                       holds — see DESIGN.md substitutions);
 //   AtomicSwsr          Lamport: (seq, value) pairs in a regular
 //                       register + reader-side max filtering;
-//   AtomicMrswFromSwsr  unbounded-tag full-information construction:
+//   TheoryCell          unbounded-tag full-information construction
+//                       (registers::FullInfoCell over AtomicSwsr):
 //                       writer writes every reader's copy, readers
 //                       forward what they return to every other reader.
 //
@@ -39,6 +40,7 @@
 #include <memory>
 #include <vector>
 
+#include "registers/tagged_cell.h"
 #include "sched/schedule_point.h"
 #include "util/assert.h"
 #include "util/space_accounting.h"
@@ -282,6 +284,9 @@ class AtomicSwsr {
   explicit AtomicSwsr(const T& initial)
       : reg_(Pair{0, initial}), last_{0, initial} {}
 
+  // Its regular register takes the schedule points (FullInfoCell).
+  static constexpr bool kTakesPoints = true;
+
   void write(const T& v) {
     ++seq_;
     reg_.write(Pair{seq_, v});
@@ -312,8 +317,8 @@ class AtomicSwsr {
 // new value from copy 0 before reader 1 — starting strictly later —
 // sees the old value still in copy 1: a cross-reader new-old inversion.
 // tests/theory/chain_test.cpp constructs that schedule explicitly; the
-// report matrix in AtomicMrswFromSwsr below is precisely what removes
-// it. (Same moral as the paper's Z[j] registers: readers must write.)
+// report matrix in TheoryCell below is precisely what removes it. (Same
+// moral as the paper's Z[j] registers: readers must write.)
 template <typename T>
 class RegularMrswNoReports {
  public:
@@ -338,73 +343,29 @@ class RegularMrswNoReports {
   std::vector<std::unique_ptr<AtomicSwsr<T>>> copies_;
 };
 
-// Atomic MRSW register from SWSR atomic registers (unbounded-tag
-// full-information construction): the writer writes a tagged value to
-// one SWSR register per reader; reader j reads its own copy plus every
-// other reader's report, adopts the largest tag, reports it to every
-// other reader, then returns it.
+// TheoryCell: atomic MRSW from SWSR atomic registers — FullInfoCell,
+// the construction TaggedCell runs over Simpson registers, over
+// AtomicSwsr (over four_slot.h's FourSlotAtomic, control state is
+// bounded too).
 //
-// The Swsr template parameter selects the SWSR atomic layer:
-// AtomicSwsr (default; regular register + sequence filtering) or
-// four_slot.h's SimFourSlot<., SimAtomicBit> (bounded control state) —
-// the deepest full stack runs the composite register over THIS over
-// four-slot over bits.
-template <typename T, template <typename> class Swsr = AtomicSwsr>
-class AtomicMrswFromSwsr {
- public:
-  AtomicMrswFromSwsr(int readers, const T& initial) : r_(readers) {
-    COMPREG_CHECK(readers >= 1);
-    const Tagged init{0, initial};
-    for (int j = 0; j < r_; ++j) {
-      own_.push_back(std::make_unique<Swsr<Tagged>>(init));
-    }
-    report_.resize(static_cast<std::size_t>(r_) *
-                   static_cast<std::size_t>(r_));
-    for (auto& reg : report_) {
-      reg = std::make_unique<Swsr<Tagged>>(init);
-    }
-  }
-
-  void write(const T& v) {
-    const Tagged item{++tag_, v};
-    for (auto& reg : own_) reg->write(item);
-  }
-
-  // The tag identifies the write a read returned; exposed for the
-  // atomicity checker.
-  struct Tagged {
-    std::uint64_t tag;
-    T value;
-  };
-
-  Tagged read_tagged(int reader_id) {
-    COMPREG_DCHECK(reader_id >= 0 && reader_id < r_);
-    Tagged best = own_[static_cast<std::size_t>(reader_id)]->read();
-    for (int i = 0; i < r_; ++i) {
-      if (i == reader_id) continue;
-      const Tagged seen = report(i, reader_id).read();
-      if (seen.tag > best.tag) best = seen;
-    }
-    for (int i = 0; i < r_; ++i) {
-      if (i == reader_id) continue;
-      report(reader_id, i).write(best);
-    }
-    return best;
-  }
-
-  T read(int reader_id) { return read_tagged(reader_id).value; }
-
- private:
-  Swsr<Tagged>& report(int from, int to) {
-    return *report_[static_cast<std::size_t>(from) *
-                        static_cast<std::size_t>(r_) +
-                    static_cast<std::size_t>(to)];
-  }
-
-  const int r_;
-  std::uint64_t tag_ = 0;  // writer-private
-  std::vector<std::unique_ptr<Swsr<Tagged>>> own_;
-  std::vector<std::unique_ptr<Swsr<Tagged>>> report_;
-};
+// Plugging this into CompositeRegister instantiates the COMPLETE
+// hierarchy of the literature in one executable stack:
+//
+//     composite register (Anderson, this paper)
+//       <- MRSW atomic registers (full-information construction)
+//       <- SWSR atomic registers (Lamport sequence filtering)
+//       <- SWSR regular registers (simulated primitive; bounded
+//          stand-ins built from safe bits live alongside in this file)
+//
+// Under the deterministic simulator, schedule points sit at the
+// *primitive* level, so interleavings cut through the middle of a Y[0]
+// or Z access — verifying that the construction only needs its base
+// registers to be linearizable, not physically instantaneous.
+//
+// SIMULATOR-ONLY for concurrent use: the chain's primitives are plain
+// fields and are safe exactly because the simulator serializes steps.
+// Single-threaded use (e.g. cost accounting) is fine anywhere.
+template <typename T>
+using TheoryCell = registers::FullInfoCell<T, AtomicSwsr>;
 
 }  // namespace compreg::theory

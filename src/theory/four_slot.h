@@ -60,6 +60,9 @@ class SimFourSlot {
   SimFourSlot(const SimFourSlot&) = delete;
   SimFourSlot& operator=(const SimFourSlot&) = delete;
 
+  // Its bits and data window take the schedule points (FullInfoCell).
+  static constexpr bool kTakesPoints = true;
+
   // Single writer.
   void write(const T& item) {
     // Choose the pair the reader is NOT using, and the index within it
@@ -115,7 +118,7 @@ class SimFourSlot {
 };
 
 // Adapter alias so the four-slot register (with atomic control bits)
-// can serve as the SWSR layer of AtomicMrswFromSwsr — composing the
+// can serve as the SWSR leaf of registers::FullInfoCell — composing the
 // deepest stack in the repository: composite register -> MRSW ->
 // four-slot -> bits.
 template <typename T>

@@ -10,6 +10,8 @@ TheoryOps& theory_ops() {
 // Compilation anchors.
 template class SimRegularRegister<int>;
 template class AtomicSwsr<int>;
-template class AtomicMrswFromSwsr<int>;
 
 }  // namespace compreg::theory
+
+template class compreg::registers::FullInfoCell<int,
+                                                compreg::theory::AtomicSwsr>;

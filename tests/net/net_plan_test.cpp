@@ -75,6 +75,22 @@ TEST(NetPlanTest, PartitionGroupSortedUnique) {
   EXPECT_EQ(plan->partitions[0].group, (std::vector<int>{0, 1, 2}));
 }
 
+// The window is [at, at+len) and only a pair split by the group is cut,
+// in either direction; a second window applies on its own.
+TEST(NetPlanTest, PartitionedWindowAndGroup) {
+  auto plan = NetFaultPlan::parse("partition:10+5@0.1,partition:30+1@2");
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_FALSE(plan->partitioned(9, 0, 2));
+  EXPECT_TRUE(plan->partitioned(10, 0, 2));
+  EXPECT_TRUE(plan->partitioned(14, 2, 1));
+  EXPECT_FALSE(plan->partitioned(15, 0, 2));
+  EXPECT_FALSE(plan->partitioned(12, 0, 1));  // both inside the group
+  EXPECT_FALSE(plan->partitioned(12, 2, 3));  // both outside it
+  EXPECT_TRUE(plan->partitioned(30, 1, 2));
+  EXPECT_FALSE(plan->partitioned(31, 1, 2));
+  EXPECT_FALSE(NetFaultPlan{}.partitioned(0, 0, 1));
+}
+
 // A repeated scalar spec used to silently override; it is now a parse
 // error — a duplicated kind almost always means a typo'd plan, and a
 // plan that silently halves its intended loss rate invalidates whatever

@@ -325,7 +325,7 @@ TEST(RegularMrswNoReportsTest, CrossReaderInversionExists) {
 }
 
 TEST(AtomicMrswTest, SequentialSemantics) {
-  AtomicMrswFromSwsr<int> reg(3, 5);
+  TheoryCell<int> reg(3, 5);
   for (int j = 0; j < 3; ++j) EXPECT_EQ(reg.read(j), 5);
   reg.write(6);
   for (int j = 0; j < 3; ++j) EXPECT_EQ(reg.read(j), 6);
@@ -337,7 +337,7 @@ TEST(AtomicMrswTest, AtomicUnderRandomSchedules) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     sched::RandomPolicy policy(seed * 31);
     sched::SimScheduler sim(policy);
-    AtomicMrswFromSwsr<int> reg(2, 0);
+    TheoryCell<int> reg(2, 0);
     lin::RegisterHistory hist;
     std::atomic<std::uint64_t> clock{1};
     sim.spawn([&] {

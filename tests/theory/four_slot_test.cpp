@@ -138,7 +138,7 @@ TEST(SimFourSlotTest, MrswOverFourSlotIsAtomic) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     sched::RandomPolicy policy(seed * 17);
     sched::SimScheduler sim(policy);
-    AtomicMrswFromSwsr<int, FourSlotAtomic> reg(2, 0);
+    registers::FullInfoCell<int, FourSlotAtomic> reg(2, 0);
     lin::RegisterHistory hist;
     std::atomic<std::uint64_t> clock{1};
     sim.spawn([&] {

@@ -11,7 +11,7 @@
 #include "lin/wing_gong.h"
 #include "lin/workload.h"
 #include "sched/policy.h"
-#include "theory/theory_cell.h"
+#include "theory/chain.h"
 
 namespace compreg::theory {
 namespace {

@@ -1,4 +1,4 @@
-#include "theory/theory_cell.h"
+#include "theory/chain.h"
 
 #include <gtest/gtest.h>
 

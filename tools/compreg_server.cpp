@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   bool spawn_fleet = false;
   std::string stats_out;
   std::string json_out;
-  std::string experiment = "E20";
+  std::string plan_text;
   cfg.epoch_ns = epoch_to_ns(std::chrono::steady_clock::now());
 
   for (int i = 1; i < argc; ++i) {
@@ -104,15 +104,13 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--seed")) {
       cfg.seed = number(0, UINT64_MAX);
     } else if (!std::strcmp(argv[i], "--plan")) {
-      cfg.plan_text = next("--plan");
+      plan_text = next("--plan");
     } else if (!std::strcmp(argv[i], "--epoch-ns")) {
       cfg.epoch_ns = static_cast<std::int64_t>(number(0, INT64_MAX));
     } else if (!std::strcmp(argv[i], "--stats-out")) {
       stats_out = next("--stats-out");
     } else if (!std::strcmp(argv[i], "--json-out")) {
       json_out = next("--json-out");
-    } else if (!std::strcmp(argv[i], "--experiment")) {
-      experiment = next("--experiment");
     } else if (!std::strcmp(argv[i], "--spawn-fleet")) {
       spawn_fleet = true;
     } else {
@@ -125,6 +123,15 @@ int main(int argc, char** argv) {
     return kExitUsage;
   }
   if (cfg.front_dir.empty()) cfg.front_dir = cfg.fleet_dir + "/front";
+  if (!plan_text.empty()) {
+    std::string error;
+    auto plan = compreg::net::NetFaultPlan::parse(plan_text, &error);
+    if (!plan) {
+      std::fprintf(stderr, "bad --plan: %s\n", error.c_str());
+      return kExitUsage;
+    }
+    cfg.plan = *std::move(plan);
+  }
 
   {
     const std::string cmd = "mkdir -p '" + cfg.front_dir + "'";
@@ -145,7 +152,7 @@ int main(int argc, char** argv) {
     fc.kind = cfg.kind;
     fc.base_port = cfg.fleet_base_port;
     fc.dir = cfg.fleet_dir;
-    fc.plan_text = cfg.plan_text;
+    fc.plan_text = plan_text;
     fc.seed = cfg.seed;
     fleet = std::make_unique<Fleet>(fc, epoch);
     // Fleet::start wipes the directory; recreate the front dir after.
@@ -190,7 +197,7 @@ int main(int argc, char** argv) {
   }
   if (!json_out.empty()) {
     std::ofstream out(json_out);
-    out << compreg::telemetry::to_json(snap, "server_telemetry", experiment);
+    out << compreg::telemetry::to_json(snap, "server_telemetry", "E20");
   }
   if (fleet) fleet->sup().terminate_all(std::chrono::milliseconds(2000));
   return cons.ok ? 0 : 1;

@@ -28,7 +28,7 @@
 #include "lin/dump.h"
 #include "lin/history.h"
 #include "net/net_cell.h"
-#include "theory/theory_cell.h"
+#include "theory/chain.h"
 #include "cli.h"
 
 namespace compreg::tools {
