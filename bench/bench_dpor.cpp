@@ -25,7 +25,6 @@
 // even where enumeration is infeasible.
 #include <chrono>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -39,6 +38,7 @@
 #include "lin/workload.h"
 #include "sched/dpor.h"
 #include "sched/exhaustive.h"
+#include "util/bench_json.h"
 
 namespace {
 
@@ -60,18 +60,7 @@ double elapsed_ms(std::chrono::steady_clock::time_point t0) {
 
 // Every JSON row is printed AND retained, so --json FILE can emit the
 // whole run as machine-readable JSON lines (CI uploads BENCH_dpor.json).
-std::vector<std::string> g_rows;
-
-void row(const char* fmt, ...) {
-  char buf[1024];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  std::printf("%s\n", buf);
-  std::fflush(stdout);
-  g_rows.emplace_back(buf);
-}
+compreg::BenchRows rows(stdout);
 
 std::string common(const char* experiment, int components, int readers,
                    const char* mode) {
@@ -95,8 +84,8 @@ void run_naive(int components, int readers, std::uint64_t budget) {
   const auto t0 = std::chrono::steady_clock::now();
   const compreg::sched::oracle::ExploreStats st =
       compreg::sched::oracle::explore(scenario, /*max_depth=*/64, budget);
-  row("%s\"schedules\":%" PRIu64 ",\"exhausted\":%s,\"max_points\":%" PRIu64
-      ",\"wall_ms\":%.1f}",
+  rows.add("%s\"schedules\":%" PRIu64
+           ",\"exhausted\":%s,\"max_points\":%" PRIu64 ",\"wall_ms\":%.1f}",
       common("E15", components, readers, "naive").c_str(), st.schedules,
       st.exhausted ? "true" : "false", st.max_points, elapsed_ms(t0));
 }
@@ -137,7 +126,8 @@ void run_dpor(int components, int readers, std::uint64_t budget,
   const DporRow r = time_dpor(components, readers, budget, sleep_sets,
                               /*symmetry=*/false, /*jobs=*/1);
   const auto& st = r.result.stats;
-  row("%s\"schedules\":%" PRIu64 ",\"exhausted\":%s,\"max_points\":%" PRIu64
+  rows.add("%s\"schedules\":%" PRIu64
+      ",\"exhausted\":%s,\"max_points\":%" PRIu64
       ",\"backtrack_points\":%" PRIu64 ",\"sleep_hits\":%" PRIu64
       ",\"naive_log10\":%.1f,\"certified\":%s,\"wall_ms\":%.1f}",
       common("E15", components, readers, sleep_sets ? "dpor+sleep" : "dpor")
@@ -162,7 +152,7 @@ void run_symmetry(int components, int readers, std::uint64_t budget) {
       st.schedules > 0 ? static_cast<double>(plain.result.stats.schedules) /
                              static_cast<double>(st.schedules)
                        : 0.0;
-  row("%s\"schedules\":%" PRIu64 ",\"orbit_hits\":%" PRIu64
+  rows.add("%s\"schedules\":%" PRIu64 ",\"orbit_hits\":%" PRIu64
       ",\"analyzed\":%" PRIu64 ",\"plain_schedules\":%" PRIu64
       ",\"reduction_factor\":%.2f,\"exhausted\":%s,\"certified\":%s,"
       "\"schedules_per_sec\":%.0f,\"wall_ms\":%.1f}",
@@ -188,7 +178,7 @@ void run_jobs_sweep(int components, int readers, std::uint64_t budget) {
                                 /*sleep_sets=*/true, /*symmetry=*/false, jobs);
     if (jobs == 1) wall_j1 = r.wall_ms;
     const auto& st = r.result.stats;
-    row("%s\"jobs\":%d,\"schedules\":%" PRIu64 ",\"waves\":%" PRIu64
+    rows.add("%s\"jobs\":%d,\"schedules\":%" PRIu64 ",\"waves\":%" PRIu64
         ",\"certified\":%s,\"schedules_per_sec\":%.0f,\"wall_ms\":%.1f,"
         "\"speedup\":%.2f}",
         common("E17", components, readers, "dpor+jobs").c_str(), jobs,
@@ -230,24 +220,6 @@ int main(int argc, char** argv) {
     run_symmetry(/*components=*/2, readers, budget);
   }
   run_jobs_sweep(/*components=*/2, /*readers=*/3, budget);
-  if (json_path) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", json_path);
-      return 1;
-    }
-    // schema_version 1: {"schema_version", "bench", "rows": [...]} —
-    // the same wrapper bench_net and bench_waitfreedom emit, so
-    // tools/check_bench_schema.py can validate all three uniformly.
-    std::fprintf(f, "{\n\"schema_version\": 1,\n\"bench\": \"dpor\",\n");
-    std::fprintf(f, "\"rows\": [\n");
-    for (std::size_t i = 0; i < g_rows.size(); ++i) {
-      std::fprintf(f, "  %s%s\n", g_rows[i].c_str(),
-                   i + 1 < g_rows.size() ? "," : "");
-    }
-    std::fprintf(f, "]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %zu rows to %s\n", g_rows.size(), json_path);
-  }
+  if (json_path && !rows.write(json_path, "dpor")) return 1;
   return 0;
 }

@@ -20,29 +20,6 @@ namespace {
 
 using Reg = compreg::core::CompositeRegister<std::uint64_t>;
 
-// Scanner gets one step per `period` writer steps.
-class RationPolicy final : public compreg::sched::SchedulePolicy {
- public:
-  RationPolicy(int victim, int period) : victim_(victim), period_(period) {}
-  int pick(const std::vector<int>& runnable) override {
-    ++step_;
-    if (step_ % static_cast<std::uint64_t>(period_) != 0) {
-      for (int id : runnable) {
-        if (id != victim_) return id;
-      }
-    }
-    for (int id : runnable) {
-      if (id == victim_) return id;
-    }
-    return runnable.front();
-  }
-
- private:
-  const int victim_;
-  const int period_;
-  std::uint64_t step_ = 0;
-};
-
 void print_stats(const char* label, const Reg::ScanCaseStats& s) {
   const double total = static_cast<double>(s.adopted_snapshot +
                                            s.first_collect +
@@ -64,7 +41,7 @@ int main() {
               "1st collect", "2nd collect", "helping rate");
   for (int period : {1, 2, 4, 8, 16, 64}) {
     Reg reg(2, 1, 0);
-    RationPolicy policy(1, period);
+    compreg::sched::RationPolicy policy(1, period);
     compreg::sched::SimScheduler sim(policy);
     sim.spawn([&] {
       for (std::uint64_t i = 1; i <= 40000; ++i) reg.update(0, i);
@@ -106,7 +83,7 @@ int main() {
               "the recursion does helping fire? --\n");
   {
     Reg reg(4, 1, 0);
-    RationPolicy policy(1, 4);
+    compreg::sched::RationPolicy policy(1, 4);
     compreg::sched::SimScheduler sim(policy);
     sim.spawn([&] {
       for (std::uint64_t i = 1; i <= 20000; ++i) {

@@ -25,6 +25,7 @@
 #include "net/net_cell.h"
 #include "net/replicated_register.h"
 #include "sched/policy.h"
+#include "util/bench_json.h"
 
 namespace {
 
@@ -56,20 +57,9 @@ double per_op(std::uint64_t total, std::uint64_t ops) {
   return ops == 0 ? 0.0 : static_cast<double>(total) / static_cast<double>(ops);
 }
 
-struct Row {
-  const char* table;  // "raw" or "composite"
-  int f;
-  unsigned loss;
-  unsigned cycles;  // recovery cycles per minority replica
-  std::uint64_t ops;
-  NetStats st;
-  double ms;
-};
-
-std::vector<Row>& rows() {
-  static std::vector<Row> all;
-  return all;
-}
+// Every table row, kept for --json as one {"experiment":"E14",...}
+// object.
+compreg::BenchRows g_rows;
 
 void print_header() {
   std::printf("%3s %6s %5s %8s %9s %9s %8s %7s %8s %8s %9s %9s\n", "f",
@@ -77,20 +67,30 @@ void print_header() {
               "unavail", "recov", "ctchp/op", "drpdown", "ms");
 }
 
-void print_row(const Row& r) {
-  std::printf("%3d %5u‰ %5u %8" PRIu64 " %9.1f %9.1f %8" PRIu64 " %7" PRIu64
-              " %8" PRIu64 " %8.2f %8" PRIu64 " %9.2f\n",
-              r.f, r.loss, r.cycles, r.ops, per_op(r.st.sent, r.ops),
-              per_op(r.st.polls, r.ops), r.st.client.retries,
-              r.st.client.unavailable, r.st.replica_recoveries,
-              per_op(r.st.catchup_msgs, r.ops), r.st.dropped_down, r.ms);
-}
-
+// Prints one table row (cycles = recovery cycles per minority replica)
+// and keeps it for --json.
 void record(const char* table, int f, unsigned loss, unsigned cycles,
             std::uint64_t ops, const NetStats& st, double ms) {
-  const Row r{table, f, loss, cycles, ops, st, ms};
-  rows().push_back(r);
-  print_row(r);
+  std::printf("%3d %5u‰ %5u %8" PRIu64 " %9.1f %9.1f %8" PRIu64 " %7" PRIu64
+              " %8" PRIu64 " %8.2f %8" PRIu64 " %9.2f\n",
+              f, loss, cycles, ops, per_op(st.sent, ops),
+              per_op(st.polls, ops), st.client.retries,
+              st.client.unavailable, st.replica_recoveries,
+              per_op(st.catchup_msgs, ops), st.dropped_down, ms);
+  g_rows.add(
+      "{\"experiment\":\"E14\",\"table\":\"%s\",\"f\":%d,"
+      "\"loss_permille\":%u,\"recover_cycles\":%u,\"ops\":%" PRIu64
+      ",\"sent\":%" PRIu64 ",\"delivered\":%" PRIu64 ",\"polls\":%" PRIu64
+      ",\"msgs_per_op\":%.3f,\"polls_per_op\":%.3f,\"retries\":%" PRIu64
+      ",\"unavailable\":%" PRIu64 ",\"writebacks\":%" PRIu64
+      ",\"writeback_skips\":%" PRIu64 ",\"recoveries\":%" PRIu64
+      ",\"recoveries_per_op\":%.4f,\"catchup_msgs\":%" PRIu64
+      ",\"catchup_per_op\":%.3f,\"dropped_down\":%" PRIu64 ",\"ms\":%.2f}",
+      table, f, loss, cycles, ops, st.sent, st.delivered, st.polls,
+      per_op(st.sent, ops), per_op(st.polls, ops), st.client.retries,
+      st.client.unavailable, st.client.writebacks, st.client.writeback_skips,
+      st.replica_recoveries, per_op(st.replica_recoveries, ops),
+      st.catchup_msgs, per_op(st.catchup_msgs, ops), st.dropped_down, ms);
 }
 
 // Part 1: one raw replicated register, sequential writer + reader.
@@ -134,44 +134,6 @@ void bench_composite(int f, unsigned loss, unsigned cycles, int ops_each) {
   const std::uint64_t ops = static_cast<std::uint64_t>(2 * ops_each) +
                             static_cast<std::uint64_t>(2 * ops_each);
   record("composite", f, loss, cycles, ops, fab.fabric().net().stats(), ms);
-}
-
-int write_json(const char* path) {
-  std::FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "bench_net: cannot open %s for writing\n", path);
-    return 1;
-  }
-  // schema_version 1: {"schema_version", "bench", "rows": [...]}. Bump
-  // it when a row key changes meaning; downstream diffing keys on it
-  // (same contract as the harness's BENCH_transport.json).
-  std::fprintf(out, "{\n\"schema_version\": 1,\n\"bench\": \"net\",\n");
-  std::fprintf(out, "\"rows\": [\n");
-  for (std::size_t i = 0; i < rows().size(); ++i) {
-    const Row& r = rows()[i];
-    std::fprintf(
-        out,
-        "  {\"experiment\":\"E14\",\"table\":\"%s\",\"f\":%d,"
-        "\"loss_permille\":%u,\"recover_cycles\":%u,\"ops\":%" PRIu64
-        ",\"sent\":%" PRIu64 ",\"delivered\":%" PRIu64 ",\"polls\":%" PRIu64
-        ",\"msgs_per_op\":%.3f,\"polls_per_op\":%.3f,\"retries\":%" PRIu64
-        ",\"unavailable\":%" PRIu64 ",\"writebacks\":%" PRIu64
-        ",\"writeback_skips\":%" PRIu64 ",\"recoveries\":%" PRIu64
-        ",\"recoveries_per_op\":%.4f,\"catchup_msgs\":%" PRIu64
-        ",\"catchup_per_op\":%.3f,\"dropped_down\":%" PRIu64
-        ",\"ms\":%.2f}%s\n",
-        r.table, r.f, r.loss, r.cycles, r.ops, r.st.sent, r.st.delivered,
-        r.st.polls, per_op(r.st.sent, r.ops), per_op(r.st.polls, r.ops),
-        r.st.client.retries, r.st.client.unavailable, r.st.client.writebacks,
-        r.st.client.writeback_skips, r.st.replica_recoveries,
-        per_op(r.st.replica_recoveries, r.ops), r.st.catchup_msgs,
-        per_op(r.st.catchup_msgs, r.ops), r.st.dropped_down, r.ms,
-        i + 1 < rows().size() ? "," : "");
-  }
-  std::fprintf(out, "]\n}\n");
-  std::fclose(out);
-  std::printf("\nwrote %zu rows to %s\n", rows().size(), path);
-  return 0;
 }
 
 }  // namespace
@@ -235,6 +197,6 @@ int main(int argc, char** argv) {
               "registers, so msgs/op measures\nthe construction's whole "
               "network footprint per user-visible operation.\n");
 
-  if (json_path != nullptr) return write_json(json_path);
+  if (json_path != nullptr && !g_rows.write(json_path, "net")) return 1;
   return 0;
 }

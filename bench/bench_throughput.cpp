@@ -30,6 +30,7 @@
 #include "baselines/seqlock_snapshot.h"
 #include "baselines/unbounded_helping.h"
 #include "core/composite_register.h"
+#include "util/bench_json.h"
 
 namespace {
 
@@ -149,56 +150,24 @@ namespace {
 // the schema-checked BENCH_throughput.json envelope.
 class RowCollector : public benchmark::ConsoleReporter {
  public:
-  struct Row {
-    std::string name;
-    int threads = 1;
-    std::int64_t iterations = 0;
-    double ns_per_op = 0;
-    double items_per_s = 0;
-  };
-
   void ReportRuns(const std::vector<Run>& runs) override {
     ConsoleReporter::ReportRuns(runs);
     for (const Run& run : runs) {
       if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      Row row;
-      row.name = run.benchmark_name();
-      row.threads = run.threads;
-      row.iterations = static_cast<std::int64_t>(run.iterations);
-      row.ns_per_op = run.GetAdjustedRealTime();
       const auto it = run.counters.find("items_per_second");
-      if (it != run.counters.end()) row.items_per_s = it->second;
-      rows.push_back(row);
+      rows.add("{\"experiment\":\"E4\",\"name\":\"%s\",\"threads\":%d,"
+               "\"iterations\":%lld,\"ns_per_op\":%.3f,"
+               "\"items_per_s\":%.1f}",
+               run.benchmark_name().c_str(), static_cast<int>(run.threads),
+               static_cast<long long>(run.iterations),
+               run.GetAdjustedRealTime(),
+               it != run.counters.end() ? static_cast<double>(it->second)
+                                        : 0.0);
     }
   }
 
-  std::vector<Row> rows;
+  compreg::BenchRows rows;
 };
-
-int write_json(const char* path, const std::vector<RowCollector::Row>& rows) {
-  std::FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "bench_throughput: cannot open %s for writing\n",
-                 path);
-    return 1;
-  }
-  std::fprintf(out, "{\n\"schema_version\": 1,\n\"bench\": \"throughput\",\n");
-  std::fprintf(out, "\"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const RowCollector::Row& r = rows[i];
-    std::fprintf(out,
-                 "  {\"experiment\":\"E4\",\"name\":\"%s\",\"threads\":%d,"
-                 "\"iterations\":%lld,\"ns_per_op\":%.3f,"
-                 "\"items_per_s\":%.1f}%s\n",
-                 r.name.c_str(), r.threads,
-                 static_cast<long long>(r.iterations), r.ns_per_op,
-                 r.items_per_s, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %zu rows to %s\n", rows.size(), path);
-  return 0;
-}
 
 }  // namespace
 
@@ -222,6 +191,8 @@ int main(int argc, char** argv) {
   RowCollector reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  if (json_path != nullptr) return write_json(json_path, reporter.rows);
+  if (json_path != nullptr && !reporter.rows.write(json_path, "throughput")) {
+    return 1;
+  }
   return 0;
 }

@@ -10,12 +10,19 @@
 // Part 2 (native free-running): W writer threads hammer while one
 // scanner thread scans; we report max collects/attempts per scan for
 // the retry-based implementations.
+//
+// Part 3 (E12, halting failures): fault::crash_sweep crash-stops every
+// process at every one of its schedule points and certifies each
+// faulty history: the Shrinking Lemma for every implementation, and
+// for Anderson's also that the survivors finish within TR/TW.
+//
+// Exits 1 if an Anderson scan costs anything but TR(2,1) or the sweep
+// finds a failure.
 #include <atomic>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
-#include <string>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -24,10 +31,10 @@
 #include "baselines/seqlock_snapshot.h"
 #include "baselines/unbounded_helping.h"
 #include "core/composite_register.h"
-#include "fault/fault_plan.h"
-#include "fault/fault_policy.h"
+#include "fault/chaos.h"
 #include "sched/policy.h"
 #include "sched/sim_scheduler.h"
+#include "util/bench_json.h"
 #include "util/op_counter.h"
 
 namespace {
@@ -36,43 +43,14 @@ using namespace compreg;  // NOLINT: bench-local brevity
 
 // JSON rows accumulated across the parts for --json emission; each
 // entry is one complete {"experiment":"E5",...} object.
-std::vector<std::string> g_rows;
+BenchRows g_rows;
 
-void row(const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  g_rows.emplace_back(buf);
-}
-
-// Adversary: the scanner (victim) runs one step per `period` steps.
-class StarvePolicy final : public sched::SchedulePolicy {
- public:
-  StarvePolicy(int victim, int period) : victim_(victim), period_(period) {}
-  int pick(const std::vector<int>& runnable) override {
-    ++step_;
-    if (step_ % static_cast<std::uint64_t>(period_) != 0) {
-      for (int id : runnable) {
-        if (id != victim_) return id;
-      }
-    }
-    for (int id : runnable) {
-      if (id == victim_) return id;
-    }
-    return runnable.front();
-  }
-
- private:
-  const int victim_;
-  const int period_;
-  std::uint64_t step_ = 0;
-};
+// Deviations from the paper's claims; main() exits 1 if any.
+int g_violations = 0;
 
 template <typename Snap>
 std::uint64_t adversary_scan_ops(Snap& snap, int writer_iters, int period) {
-  StarvePolicy policy(/*victim=*/1, period);
+  sched::RationPolicy policy(/*victim=*/1, period);
   sched::SimScheduler sim(policy);
   std::uint64_t ops = 0;
   sim.spawn([&] {
@@ -104,10 +82,13 @@ void part1() {
     const std::uint64_t uh_ops = adversary_scan_ops(uh, 2000, period);
     core::CompositeRegister<std::uint64_t> an(2, 1, 0);
     const std::uint64_t an_ops = adversary_scan_ops(an, 2000, period);
+    if (an_ops != core::CompositeRegister<std::uint64_t>::read_cost(2, 1)) {
+      ++g_violations;
+    }
     std::printf("%6d %18" PRIu64 " %18s %14" PRIu64 " %14" PRIu64 "\n",
                 period, dc_ops,
                 dc_ops > 100 ? "grows with P" : "", uh_ops, an_ops);
-    row("{\"experiment\":\"E5\",\"part\":\"adversary\",\"period\":%d,"
+    g_rows.add("{\"experiment\":\"E5\",\"part\":\"adversary\",\"period\":%d,"
         "\"double_collect_ops\":%" PRIu64 ",\"helping_ops\":%" PRIu64
         ",\"anderson_ops\":%" PRIu64 "}",
         period, dc_ops, uh_ops, an_ops);
@@ -153,7 +134,7 @@ void part2() {
     std::printf("%4d %22" PRIu64 " %22" PRIu64 " %22" PRIu64 "\n", w,
                 dc.stats(0).max_collects, sq.stats(0).max_attempts,
                 afek_scans);
-    row("{\"experiment\":\"E5\",\"part\":\"native\",\"writers\":%d,"
+    g_rows.add("{\"experiment\":\"E5\",\"part\":\"native\",\"writers\":%d,"
         "\"double_collect_max\":%" PRIu64 ",\"seqlock_max_attempts\":%" PRIu64
         ",\"afek_scans\":%" PRIu64 "}",
         w, dc.stats(0).max_collects, sq.stats(0).max_attempts, afek_scans);
@@ -163,127 +144,59 @@ void part2() {
               "aborted)\n");
 }
 
-// One adversary run with the writer (proc 0) crash-stopped after
-// `crash_at` of its schedule points; returns the scanner's base-op
-// cost for the scan it still completes.
+// One crash sweep of a C=2, R=1 `Snap` under round-robin; bounds of 0
+// certify safety only (the baselines claim no TR/TW).
 template <typename Snap>
-std::uint64_t crashed_writer_scan_ops(Snap& snap, int writer_iters,
-                                      std::uint64_t crash_at) {
-  sched::RoundRobinPolicy base;
-  fault::FaultPlan plan;
-  plan.crashes.push_back(fault::CrashSpec{0, crash_at});
-  fault::FaultInjectingPolicy policy(base, plan);
-  sched::SimScheduler sim(policy);
-  std::uint64_t ops = 0;
-  sim.spawn([&] {
-    for (std::uint64_t i = 1; i <= static_cast<std::uint64_t>(writer_iters);
-         ++i) {
-      snap.update(0, i);
-      snap.update(1, i);
-    }
-  });
-  sim.spawn([&] {
-    OpWindow win;
-    std::vector<core::Item<std::uint64_t>> out;
-    snap.scan_items(0, out);
-    ops = win.delta().total();
-  });
-  policy.attach(sim);
-  sim.run();
-  return ops;
-}
-
-// Sweeps every crash point of the writer; returns {min, max} scanner
-// cost across the sweep.
-template <typename MakeSnap>
-std::pair<std::uint64_t, std::uint64_t> crash_sweep_scan_ops(
-    MakeSnap make_snap, int writer_iters) {
-  // Fault-free baseline to learn how many points the writer takes.
-  std::uint64_t writer_points = 0;
-  {
-    auto snap = make_snap();
-    sched::RoundRobinPolicy base;
-    sched::SimScheduler sim(base);
-    sim.spawn([&] {
-      for (std::uint64_t i = 1;
-           i <= static_cast<std::uint64_t>(writer_iters); ++i) {
-        snap->update(0, i);
-        snap->update(1, i);
-      }
-    });
-    sim.spawn([&] {
-      std::vector<core::Item<std::uint64_t>> out;
-      snap->scan_items(0, out);
-    });
-    sim.run();
-    for (int p : sim.trace()) {
-      if (p == 0) ++writer_points;
-    }
+void crash_sweep_row(const char* impl, std::uint64_t read_bound,
+                     std::uint64_t write_bound) {
+  fault::CrashSweepConfig cfg;
+  cfg.make_snapshot = [] { return std::make_unique<Snap>(2, 1, 0); };
+  cfg.make_policy = [] {
+    return std::make_unique<sched::RoundRobinPolicy>();
+  };
+  cfg.workload.writes_per_writer = 6;
+  cfg.workload.scans_per_reader = 1;
+  cfg.read_bound = read_bound;
+  cfg.write_bound = write_bound;
+  const fault::CrashSweepResult r = fault::crash_sweep(cfg);
+  std::printf("%20s %8" PRIu64 " %12" PRIu64 " %12" PRIu64 "   %s\n", impl,
+              r.runs, r.read_cost_min, r.read_cost_max,
+              !r.ok()            ? "FAILED"
+              : read_bound != 0 ? "shrinking + TR/TW"
+                                : "shrinking");
+  for (const fault::SweepFailure& f : r.failures) {
+    std::printf("    plan %s: %s\n", f.plan.to_string().c_str(),
+                f.reason.c_str());
   }
-  std::uint64_t lo = ~std::uint64_t{0};
-  std::uint64_t hi = 0;
-  for (std::uint64_t n = 0; n < writer_points; ++n) {
-    auto snap = make_snap();
-    const std::uint64_t ops = crashed_writer_scan_ops(*snap, writer_iters, n);
-    lo = std::min(lo, ops);
-    hi = std::max(hi, ops);
+  g_violations += static_cast<int>(r.failures.size());
+  g_rows.add("{\"experiment\":\"E5\",\"part\":\"crash-sweep\","
+             "\"impl\":\"%s\",\"runs\":%" PRIu64 ",\"min_ops\":%" PRIu64
+             ",\"max_ops\":%" PRIu64 ",\"certified\":%s}",
+             impl, r.runs, r.read_cost_min, r.read_cost_max,
+             r.ok() ? "true" : "false");
+  if (read_bound != 0) {
+    const bool exact = r.read_cost_min == read_bound &&
+                       r.read_cost_max == read_bound;
+    if (!exact) ++g_violations;
+    std::printf("(%s min == max == TR(2,1) = %" PRIu64
+                ": the scan costs exactly TR no matter who dies where%s)\n",
+                impl, read_bound, exact ? "" : " -- VIOLATED");
   }
-  return {lo, hi};
 }
 
 void part3() {
-  std::printf("-- Part 3: crash sweep (C=2; writer crash-stopped at every "
-              "one of its schedule points; scanner cost per sweep) --\n");
-  std::printf("%20s %12s %12s\n", "impl", "min ops", "max ops");
-  const int iters = 6;
-  {
-    auto r = crash_sweep_scan_ops(
-        [] {
-          return std::make_unique<
-              baselines::DoubleCollectSnapshot<std::uint64_t>>(2, 1, 0);
-        },
-        iters);
-    std::printf("%20s %12" PRIu64 " %12" PRIu64 "\n", "double-collect",
-                r.first, r.second);
-    row("{\"experiment\":\"E5\",\"part\":\"crash-sweep\","
-        "\"impl\":\"double-collect\",\"min_ops\":%" PRIu64
-        ",\"max_ops\":%" PRIu64 "}",
-        r.first, r.second);
-  }
-  {
-    auto r = crash_sweep_scan_ops(
-        [] {
-          return std::make_unique<
-              baselines::UnboundedHelpingSnapshot<std::uint64_t>>(2, 1, 0);
-        },
-        iters);
-    std::printf("%20s %12" PRIu64 " %12" PRIu64 "\n", "unbounded-helping",
-                r.first, r.second);
-    row("{\"experiment\":\"E5\",\"part\":\"crash-sweep\","
-        "\"impl\":\"unbounded-helping\",\"min_ops\":%" PRIu64
-        ",\"max_ops\":%" PRIu64 "}",
-        r.first, r.second);
-  }
-  {
-    auto r = crash_sweep_scan_ops(
-        [] {
-          return std::make_unique<core::CompositeRegister<std::uint64_t>>(
-              2, 1, 0);
-        },
-        iters);
-    std::printf("%20s %12" PRIu64 " %12" PRIu64 "\n", "anderson", r.first,
-                r.second);
-    row("{\"experiment\":\"E5\",\"part\":\"crash-sweep\","
-        "\"impl\":\"anderson\",\"min_ops\":%" PRIu64 ",\"max_ops\":%" PRIu64
-        "}",
-        r.first, r.second);
-    const std::uint64_t tr =
-        core::CompositeRegister<std::uint64_t>::read_cost(2, 1);
-    std::printf("(anderson min == max == TR(2,1) = %" PRIu64
-                ": the scan costs exactly TR no matter where the writer "
-                "dies%s)\n",
-                tr, (r.first == tr && r.second == tr) ? "" : " -- VIOLATED");
-  }
+  using Reg = core::CompositeRegister<std::uint64_t>;
+  std::printf("-- Part 3: crash sweep (C=2, R=1, round-robin; every "
+              "process crash-stopped at every one of its schedule points; "
+              "cost of every completed Read; certified per history) --\n");
+  std::printf("%20s %8s %12s %12s   %s\n", "impl", "runs", "min ops",
+              "max ops", "certified");
+  crash_sweep_row<baselines::DoubleCollectSnapshot<std::uint64_t>>(
+      "double-collect", 0, 0);
+  crash_sweep_row<baselines::UnboundedHelpingSnapshot<std::uint64_t>>(
+      "unbounded-helping", 0, 0);
+  crash_sweep_row<Reg>("anderson", Reg::read_cost(2, 1),
+                       Reg::write_cost(2, 1));
 }
 
 }  // namespace
@@ -299,24 +212,10 @@ int main(int argc, char** argv) {
   part1();
   part2();
   part3();
-  if (json_path) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", json_path);
-      return 1;
-    }
-    // schema_version 1: {"schema_version", "bench", "rows": [...]} —
-    // the same wrapper bench_net and bench_dpor emit, so
-    // tools/check_bench_schema.py can validate all three uniformly.
-    std::fprintf(f, "{\n\"schema_version\": 1,\n\"bench\": \"waitfreedom\",\n");
-    std::fprintf(f, "\"rows\": [\n");
-    for (std::size_t i = 0; i < g_rows.size(); ++i) {
-      std::fprintf(f, "  %s%s\n", g_rows[i].c_str(),
-                   i + 1 < g_rows.size() ? "," : "");
-    }
-    std::fprintf(f, "]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %zu rows to %s\n", g_rows.size(), json_path);
+  if (json_path && !g_rows.write(json_path, "waitfreedom")) return 1;
+  if (g_violations != 0) {
+    std::printf("%d deviation(s) from the paper's claims\n", g_violations);
+    return 1;
   }
   return 0;
 }

@@ -7,16 +7,11 @@
 // OF THOSE WRITES TOOK FOR IT. The deterministic scheduler lets us
 // script the exact interleaving from the paper and narrate every step.
 #include <cstdio>
-#include <memory>
-#include <vector>
+#include <iterator>
 
-#include "core/composite_register.h"
-#include "sched/policy.h"
-#include "sched/sim_scheduler.h"
+#include "lin/workload.h"
 
 int main() {
-  using Reg = compreg::core::CompositeRegister<std::uint64_t>;
-
   // C=2 components, 1 reader. Process 0 = the reader, 1 = Writer 0,
   // 2 = Writer 1 (owner of component 1).
   const char* narration[] = {
@@ -44,26 +39,13 @@ int main() {
       /*20*/ "Writer 0 [w+2] stmt 4: snapshots (after the read returned)",
       /*21*/ "Writer 0 [w+2] stmt 7: publishes",
   };
-  const std::vector<int> script = {0, 0, 0, 2, 1, 1, 1, 1, 1, 1, 1,
-                                   1, 2, 1, 1, 0, 0, 0, 0, 1, 1};
-
-  compreg::sched::ScriptPolicy policy(script);
-  compreg::sched::SimScheduler sim(policy);
-  auto reg = std::make_shared<Reg>(2, 1, 0);
-  std::vector<compreg::core::Item<std::uint64_t>> result;
-
-  sim.spawn([reg, &result] { reg->scan_items(0, result); });
-  sim.spawn([reg] {
-    for (std::uint64_t i = 1; i <= 3; ++i) reg->update(0, 100 + i);
-  });
-  sim.spawn([reg] {
-    for (std::uint64_t i = 1; i <= 2; ++i) reg->update(1, 200 + i);
-  });
   std::printf("replaying Figure 4(a) — every line is one atomic shared-"
               "register access:\n\n");
-  sim.run();
-  for (std::size_t i = 0; i < sim.trace().size(); ++i) {
-    std::printf("  step %2zu (proc %d): %s\n", i + 1, sim.trace()[i],
+  const compreg::lin::Fig4Replay run =
+      compreg::lin::replay_fig4(compreg::lin::fig4_executions()[0]);
+  const auto& result = run.scan;
+  for (std::size_t i = 0; i < run.trace.size(); ++i) {
+    std::printf("  step %2zu (proc %d): %s\n", i + 1, run.trace[i],
                 i < std::size(narration) ? narration[i] : "");
   }
 

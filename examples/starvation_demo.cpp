@@ -22,32 +22,9 @@
 
 namespace {
 
-// Let the scanner run one step out of every `period`.
-class RationPolicy final : public compreg::sched::SchedulePolicy {
- public:
-  RationPolicy(int victim, int period) : victim_(victim), period_(period) {}
-  int pick(const std::vector<int>& runnable) override {
-    ++step_;
-    if (step_ % static_cast<std::uint64_t>(period_) != 0) {
-      for (int id : runnable) {
-        if (id != victim_) return id;
-      }
-    }
-    for (int id : runnable) {
-      if (id == victim_) return id;
-    }
-    return runnable.front();
-  }
-
- private:
-  const int victim_;
-  const int period_;
-  std::uint64_t step_ = 0;
-};
-
 template <typename Snap>
 std::uint64_t scan_cost_under_adversary(Snap& snap, int period) {
-  RationPolicy policy(1, period);
+  compreg::sched::RationPolicy policy(/*victim=*/1, period);
   compreg::sched::SimScheduler sim(policy);
   std::uint64_t cost = 0;
   sim.spawn([&] {

@@ -136,6 +136,13 @@ CrashSweepResult crash_sweep(const CrashSweepConfig& cfg) {
       const lin::History h =
           run_sim_workload_with_faults(*snap, *base, cfg.workload, plan);
       ++result.runs;
+      for (const lin::ReadRec& r : h.reads) {
+        if (r.end == lin::kPendingEnd) continue;
+        const bool first = result.read_cost_max == 0;
+        result.read_cost_min =
+            first ? r.cost : std::min(result.read_cost_min, r.cost);
+        result.read_cost_max = std::max(result.read_cost_max, r.cost);
+      }
 
       const lin::CheckResult sl = lin::check_shrinking_lemma(h);
       if (!sl.ok) {

@@ -103,6 +103,10 @@ struct CrashSweepResult {
   std::uint64_t runs = 0;  // faulty executions performed
   std::vector<std::uint64_t> baseline_points;  // fault-free points/proc
   bool exhausted = true;   // false if max_runs stopped the sweep
+  // Base-op cost range of the Reads completed across the faulty runs
+  // (both 0 if none completed).
+  std::uint64_t read_cost_min = 0;
+  std::uint64_t read_cost_max = 0;
   std::vector<SweepFailure> failures;
 
   bool ok() const { return failures.empty(); }

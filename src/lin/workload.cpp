@@ -3,6 +3,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/composite_register.h"
 #include "sched/schedule_point.h"
 #include "sched/sim_scheduler.h"
 #include "util/barrier.h"
@@ -166,6 +167,119 @@ History run_sim_workload(
   if (on_sim) on_sim(sim);
   sim.run();
   return rec->merge();
+}
+
+// Figure 4 on C=2, R=1. Shared-access maps (one schedule grant = one
+// base-register access):
+//   Reader scan:  [0]=stmt0 read Y0(x), [1]=stmt2 write Z,
+//                 [2]=stmt3 read Y0(a), [3]=stmt4 inner scan (b),
+//                 [4]=stmt5 read Y0(c), [5]=stmt6 inner scan (d),
+//                 [6]=stmt7 read Y0(e)
+//   0-Write:      [0]=stmt2 read Z, [1]=stmt3 write Y0,
+//                 [2]=stmt4 inner scan, [3]=stmt7 write Y0
+//   1-Write:      [0]=write Y[1]   (base case of the recursion)
+const std::vector<Fig4Execution>& fig4_executions() {
+  static const std::vector<Fig4Execution> executions = {
+      // Three 0-Writes overlap the scan's collect window; w+1 lies
+      // completely inside it, and its snapshot predates Writer 1's
+      // second write.
+      {"Figure 4(a): a full 0-Write inside [r:3, r:7]",
+       "reader must adopt the overlapping write w+1's embedded snapshot "
+       "(e.seq[1,j] = newseq)",
+       {
+           0, 0, 0,     // r: x, Z, a   (r:3 done)
+           2,           // Writer 1 write #1 (id 1) — lands in w's snapshot
+           1, 1, 1, 1,  // w    (0-Write id 1), completely after r:3
+           1, 1, 1, 1,  // w+1  (0-Write id 2), completely inside [r:3,r:7]
+           2,           // Writer 1 write #2 (id 2) — after w+1's snapshot
+           1, 1,        // w+2: reads Z (sees newseq), writes Y0 (stmt 3)
+           0, 0, 0, 0,  // r: b, c, d, e  => statement 8 case 1
+           1, 1,        // w+2 finishes
+       },
+       3, 2, 2, 1},
+      // The Z read of the middle write v+1 predates r:2.
+      {"Figure 4(b): statement 3 exactly twice inside [r:3, r:7]",
+       "reader must detect e.wc = a.wc (+) 2 and adopt the middle "
+       "write's snapshot",
+       {
+           1, 1, 1, 1,  // v (0-Write id 1) completes before the scan
+           2,           // Writer 1 write #1 (id 1)
+           0,           // r: x  (sees v)
+           1,           // v+1: reads Z *before* r writes it
+           0, 0,        // r: Z := newseq, a (= v, wc 1)
+           1, 1, 1,     // v+1: stmt 3 (wc 2), inner scan, stmt 7
+           1, 1,        // v+2: reads Z, stmt 3 (wc 0 = 1 (+) 2)
+           0, 0, 0, 0,  // r: b, c, d, e  => statement 8 case 2
+           1, 1,        // v+2 finishes
+       },
+       3, 1, 2, 1},
+      // Paper Section 4.1's "third and final case": no statement 3
+      // between r:3 and r:5.
+      {"Statement 8 case 3: quiet window [r:3, r:5]",
+       "reader keeps its own first collect (a.item, b)",
+       {
+           1, 1, 1, 1,     // w1 (0-Write id 1) completes before the scan
+           2,              // Writer 1 write #1 (id 1)
+           0, 0, 0, 0, 0,  // r: x, Z, a, b, c   (quiet: a.wc == c.wc)
+           1, 1,           // w2: reads Z, stmt 3 — after r:5, before r:7
+           0, 0,           // r: d, e  => statement 8 case 3
+           1, 1,           // w2 finishes
+       },
+       2, 1, 1, 1},
+      // One statement 3 between r:3 and r:5, none between r:5 and r:7.
+      {"Statement 8 case 4: quiet window [r:5, r:7]",
+       "reader keeps its second collect (c.item, d)",
+       {
+           1, 1, 1, 1,  // w1 (id 1) completes before the scan
+           2,           // Writer 1 write #1 (id 1)
+           0, 0, 0, 0,  // r: x, Z, a, b
+           1, 1,        // w2: reads Z, stmt 3 — between r:4 and r:5
+           0, 0, 0,     // r: c, d, e  => statement 8 case 4
+           1, 1,        // w2 finishes
+       },
+       2, 1, 2, 1},
+  };
+  return executions;
+}
+
+Fig4Replay replay_fig4(const Fig4Execution& e) {
+  Fig4Replay out;
+  core::CompositeRegister<std::uint64_t> reg(2, 1, 0);
+  HistoryRecorder rec(2, {0, 0}, 3);
+  sched::ScriptPolicy policy(e.script);
+  sched::SimScheduler sim(policy);
+  sim.spawn([&] {
+    ReadRec r;
+    r.proc = 0;
+    r.start = rec.clock().tick();
+    reg.scan_items(0, out.scan);
+    r.end = rec.clock().tick();
+    for (const auto& item : out.scan) {
+      r.ids.push_back(item.id);
+      r.values.push_back(item.val);
+    }
+    rec.record_read(0, r);
+  });
+  for (int k = 0; k < 2; ++k) {
+    sim.spawn([&, k] {
+      const int writes = k == 0 ? e.w0_writes : e.w1_writes;
+      for (int i = 1; i <= writes; ++i) {
+        WriteRec w;
+        w.component = k;
+        w.value = 100 * static_cast<std::uint64_t>(k + 1) +
+                  static_cast<std::uint64_t>(i);
+        w.proc = k + 1;
+        w.start = rec.clock().tick();
+        w.id = reg.update(k, w.value);
+        w.end = rec.clock().tick();
+        rec.record_write(k + 1, w);
+      }
+    });
+  }
+  sim.run();
+  out.trace = sim.trace();
+  out.history = rec.merge();
+  return out;
 }
 
 History run_native_workload_mw(core::MultiWriterSnapshot<std::uint64_t>& snap,

@@ -13,7 +13,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
+#include "core/item.h"
 #include "core/multi_writer.h"
 #include "core/snapshot.h"
 #include "lin/history.h"
@@ -66,6 +68,36 @@ History run_sim_workload(
 std::shared_ptr<HistoryRecorder> spawn_sim_workload(
     sched::SimScheduler& sim, core::Snapshot<std::uint64_t>& snap,
     const WorkloadConfig& cfg);
+
+// One of the paper's Figure 4 executions, or one of the two remaining
+// branches of Reader statement 8, as an exact scripted schedule on a
+// C=2, R=1 composite register. Process 0 is the reader (one scan),
+// process 1 is Writer 0 (0-Writes of 101, 102, ...), process 2 is
+// Writer 1 (1-Writes of 201, 202, ...). The script names the process of
+// every shared-register access; workload.cpp maps each step.
+struct Fig4Execution {
+  const char* name;
+  const char* expectation;  // what statement 8 must do
+  std::vector<int> script;
+  int w0_writes;
+  int w1_writes;
+  // Write ids the scan must return for components 0 and 1.
+  std::uint64_t want_id0;
+  std::uint64_t want_id1;
+};
+
+// Figure 4(a), Figure 4(b), statement 8 case 3, statement 8 case 4.
+const std::vector<Fig4Execution>& fig4_executions();
+
+struct Fig4Replay {
+  std::vector<core::Item<std::uint64_t>> scan;
+  std::vector<int> trace;  // process id of every grant, in order
+  History history;
+};
+
+// Replays `e` on a fresh CompositeRegister(2, 1, 0), recording every
+// operation for the checkers.
+Fig4Replay replay_fig4(const Fig4Execution& e);
 
 struct MwWorkloadConfig {
   int writes_per_process = 50;

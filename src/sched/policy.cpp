@@ -24,6 +24,20 @@ int RoundRobinPolicy::pick(const std::vector<int>& runnable) {
   return last_;
 }
 
+int RationPolicy::pick(const std::vector<int>& runnable) {
+  COMPREG_CHECK(!runnable.empty() && period_ >= 1);
+  ++step_;
+  if (step_ % static_cast<std::uint64_t>(period_) != 0) {
+    for (int id : runnable) {
+      if (id != victim_) return id;
+    }
+  }
+  for (int id : runnable) {
+    if (id == victim_) return id;
+  }
+  return runnable.front();
+}
+
 int ScriptPolicy::pick(const std::vector<int>& runnable) {
   if (pos_ >= script_.size()) return fallback_.pick(runnable);
   const int want = script_[pos_++];

@@ -36,6 +36,22 @@ class RoundRobinPolicy final : public SchedulePolicy {
   int last_ = -1;
 };
 
+// The rationing adversary of the wait-freedom experiments: `victim`
+// takes one step per `period` picks while anyone else is runnable
+// (every other pick goes to the lowest-id other process), and every
+// step once it runs alone. A victim that retries on interference is
+// starved by it; a wait-free one finishes in its bound regardless.
+class RationPolicy final : public SchedulePolicy {
+ public:
+  RationPolicy(int victim, int period) : victim_(victim), period_(period) {}
+  int pick(const std::vector<int>& runnable) override;
+
+ private:
+  const int victim_;
+  const int period_;
+  std::uint64_t step_ = 0;
+};
+
 // Follows an explicit script of process ids (used to reproduce the
 // executions of paper Figure 4); panics if a scripted process is not
 // runnable, and falls back to round-robin when the script is exhausted.

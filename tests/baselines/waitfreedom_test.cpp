@@ -23,38 +23,9 @@
 namespace compreg {
 namespace {
 
-// Adversarial policy: starve the scanner — run it only one step per
-// `writer_steps` writer steps.
-class StarvePolicy final : public sched::SchedulePolicy {
- public:
-  StarvePolicy(int victim, int victim_period)
-      : victim_(victim), period_(victim_period) {}
-
-  int pick(const std::vector<int>& runnable) override {
-    ++step_;
-    const bool victim_turn = (step_ % period_) == 0;
-    // Prefer non-victims unless it is the victim's rationed turn or
-    // only the victim remains.
-    if (!victim_turn) {
-      for (int id : runnable) {
-        if (id != victim_) return id;
-      }
-    }
-    for (int id : runnable) {
-      if (id == victim_) return id;
-    }
-    return runnable.front();
-  }
-
- private:
-  const int victim_;
-  const int period_;
-  std::uint64_t step_ = 0;
-};
-
 TEST(WaitFreedomTest, DoubleCollectScannerStarvesUnderWriterPressure) {
   baselines::DoubleCollectSnapshot<std::uint64_t> snap(2, 1, 0);
-  StarvePolicy policy(/*victim=*/1, /*victim_period=*/8);
+  sched::RationPolicy policy(/*victim=*/1, /*period=*/8);
   sched::SimScheduler sim(policy);
   bool scan_finished = false;
   // Writer: continuously updates.
@@ -86,7 +57,7 @@ TEST(WaitFreedomTest, DoubleCollectScannerStarvesUnderWriterPressure) {
 
 TEST(WaitFreedomTest, HelpingScannerBoundedUnderSameAdversary) {
   baselines::UnboundedHelpingSnapshot<std::uint64_t> snap(2, 1, 0);
-  StarvePolicy policy(/*victim=*/1, /*victim_period=*/8);
+  sched::RationPolicy policy(/*victim=*/1, /*period=*/8);
   sched::SimScheduler sim(policy);
   std::uint64_t ops_spent = 0;
   sim.spawn([&] {
@@ -110,7 +81,7 @@ TEST(WaitFreedomTest, HelpingScannerBoundedUnderSameAdversary) {
 
 TEST(WaitFreedomTest, AfekScannerBoundedUnderSameAdversary) {
   baselines::AfekSnapshot<std::uint64_t> snap(2, 1, 0);
-  StarvePolicy policy(/*victim=*/1, /*victim_period=*/8);
+  sched::RationPolicy policy(/*victim=*/1, /*period=*/8);
   sched::SimScheduler sim(policy);
   std::uint64_t ops_spent = 0;
   sim.spawn([&] {
@@ -135,7 +106,7 @@ TEST(WaitFreedomTest, AfekScannerBoundedUnderSameAdversary) {
 
 TEST(WaitFreedomTest, AndersonScannerExactStepsUnderSameAdversary) {
   core::CompositeRegister<std::uint64_t> snap(2, 1, 0);
-  StarvePolicy policy(/*victim=*/1, /*victim_period=*/8);
+  sched::RationPolicy policy(/*victim=*/1, /*period=*/8);
   sched::SimScheduler sim(policy);
   std::uint64_t ops_spent = 0;
   sim.spawn([&] {

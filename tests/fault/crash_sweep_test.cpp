@@ -51,6 +51,12 @@ TEST(CrashSweepTest, AndersonRoundRobinEveryCrashPointLinearizes) {
   EXPECT_EQ(result.runs, expected_runs);
   EXPECT_TRUE(result.exhausted);
 
+  // E12's claim is exact, not just a bound: every completed Read costs
+  // TR(2,1) = 7 base ops wherever the crash lands.
+  EXPECT_EQ(Reg::read_cost(2, 1), 7u);
+  EXPECT_EQ(result.read_cost_min, Reg::read_cost(2, 1));
+  EXPECT_EQ(result.read_cost_max, Reg::read_cost(2, 1));
+
   for (const SweepFailure& f : result.failures) {
     ADD_FAILURE() << "plan " << f.plan.to_string() << ": " << f.reason;
   }
@@ -66,6 +72,8 @@ TEST(CrashSweepTest, AndersonRandomScheduleEveryCrashPointLinearizes) {
     const CrashSweepResult result = crash_sweep(cfg);
     EXPECT_TRUE(result.exhausted) << "seed " << seed;
     EXPECT_GT(result.runs, 0u) << "seed " << seed;
+    EXPECT_EQ(result.read_cost_min, Reg::read_cost(2, 1)) << "seed " << seed;
+    EXPECT_EQ(result.read_cost_max, Reg::read_cost(2, 1)) << "seed " << seed;
     for (const SweepFailure& f : result.failures) {
       ADD_FAILURE() << "seed " << seed << " plan " << f.plan.to_string()
                     << ": " << f.reason;

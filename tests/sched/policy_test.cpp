@@ -52,6 +52,24 @@ TEST(ScriptPolicyTest, FollowsScriptThenFallsBack) {
   EXPECT_EQ(policy.pick({0, 1, 2}), 1);
 }
 
+TEST(RationPolicyTest, VictimGetsOnePickPerPeriodWhileOthersRun) {
+  RationPolicy policy(/*victim=*/1, /*period=*/4);
+  const std::vector<int> runnable{0, 1, 2};
+  for (int round = 0; round < 5; ++round) {
+    for (int i = 0; i < 3; ++i) EXPECT_EQ(policy.pick(runnable), 0);
+    EXPECT_EQ(policy.pick(runnable), 1);
+  }
+}
+
+TEST(RationPolicyTest, VictimRunsEveryStepWhenAlone) {
+  RationPolicy policy(/*victim=*/2, /*period=*/8);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(policy.pick({2}), 2);
+  // Rationing resumes, on the same step count, once others are back.
+  std::vector<int> picks;
+  for (int i = 0; i < 8; ++i) picks.push_back(policy.pick({0, 2}));
+  EXPECT_EQ(picks, (std::vector<int>{0, 0, 0, 2, 0, 0, 0, 0}));
+}
+
 TEST(PctPolicyTest, DeterministicAndValid) {
   PctPolicy a(99, 3, 2, 100);
   PctPolicy b(99, 3, 2, 100);

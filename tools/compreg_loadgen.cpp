@@ -77,6 +77,7 @@
 #include "net/real/wire.h"
 #include "server/client.h"
 #include "server/protocol.h"
+#include "util/bench_json.h"
 #include "util/rng.h"
 #include "cli.h"
 #include "fleet_common.h"
@@ -133,7 +134,7 @@ struct Options {
   int base_port = 47900;   // fleet-facing
   int front_port = 47950;  // client-facing (service mode, TCP only)
   std::string dir;         // empty: mkdtemp under /tmp
-  std::string plan_text;   // socket-level fault plan (every endpoint)
+  NetFaultPlan plan;       // socket-level fault plan (every endpoint)
   int clients = 8;         // direct: one writer + clients-1 readers
   std::uint64_t ops = 100;  // per client; direct: writer ops
   unsigned write_pct = 20;
@@ -158,18 +159,26 @@ struct Options {
     cfg.kind = kind;
     cfg.base_port = base_port;
     cfg.dir = dir;
-    cfg.plan_text = plan_text;
+    cfg.plan_text = plan.to_string();
     cfg.seed = seed;
     return cfg;
   }
 };
 
-std::string replay_command(const Options& opt) {
+// The scenario flags: the failure artifact's config line, and the head
+// of the replay command.
+std::string config_line(const Options& opt) {
   std::ostringstream os;
   os << "compreg_loadgen" << (opt.direct ? " --direct" : "") << " --f "
      << opt.f << " --kind " << kind_name(opt.kind) << " --clients "
      << opt.clients << " --ops " << opt.ops << " --kills " << opt.kills
-     << " --seed " << opt.seed << " --attempt-ms " << opt.attempt_ms
+     << " --seed " << opt.seed;
+  return os.str();
+}
+
+std::string replay_command(const Options& opt) {
+  std::ostringstream os;
+  os << config_line(opt) << " --attempt-ms " << opt.attempt_ms
      << " --max-attempts " << opt.max_attempts;
   if (opt.direct) {
     if (opt.kill_majority) os << " --kill-majority";
@@ -177,7 +186,7 @@ std::string replay_command(const Options& opt) {
     os << " --write-pct " << opt.write_pct << " --max-inflight "
        << opt.max_inflight;
   }
-  if (!opt.plan_text.empty()) os << " --plan '" << opt.plan_text << "'";
+  if (!opt.plan.empty()) os << " --plan '" << opt.plan.to_string() << "'";
   os << "  # wall-clock chaos: replays the scenario, not the schedule";
   return os.str();
 }
@@ -216,7 +225,7 @@ bool start_fleet(const Options& opt, Fleet& fleet,
   if (!fleet.start(subdir)) return false;
   if (fleet.wait_all_serving(std::chrono::milliseconds(15000))) return true;
   write_artifact(opt.artifact, "fleet startup failure", opt.seed, "",
-                 opt.plan_text, "", replay_command(opt),
+                 opt.plan.to_string(), "", replay_command(opt),
                  "a replica never logged 'serving' within 15s of spawn",
                  nullptr);
   return false;
@@ -265,8 +274,9 @@ int verdict(const Options& opt, const std::vector<std::string>& findings) {
   }
   std::ostringstream dump;
   for (const std::string& f : findings) dump << f << "\n";
-  write_artifact(opt.artifact, "violation", opt.seed, "", opt.plan_text, "",
-                 replay_command(opt), findings.front(), nullptr, dump.str());
+  write_artifact(opt.artifact, "violation", opt.seed, "",
+                 opt.plan.to_string(), "", replay_command(opt),
+                 findings.front(), nullptr, dump.str());
   std::printf("compreg_loadgen: FAIL (%zu finding%s)\n", findings.size(),
               findings.size() == 1 ? "" : "s");
   return kExitViolation;
@@ -322,11 +332,7 @@ void direct_client(const Options& opt, const Fleet& fleet, SteadyPoint epoch,
                    const std::atomic<bool>& stop, WorkerOut& out) {
   const int node = opt.replicas() + client;
   SocketTransport socket(client_transport(opt, fleet, node));
-  const NetFaultPlan plan =
-      opt.plan_text.empty()
-          ? NetFaultPlan{}
-          : NetFaultPlan::parse(opt.plan_text).value_or(NetFaultPlan{});
-  FaultyTransport net(socket, plan, mix_seed(opt.seed, node), epoch);
+  FaultyTransport net(socket, opt.plan, mix_seed(opt.seed, node), epoch);
   RealAbdClient abd(net, abd_config(opt), epoch);
   abd.set_ack_hook([&](int replica, std::uint64_t ts, std::int64_t t_ns) {
     out.acks.push_back(AckRec{replica, ts, t_ns});
@@ -449,7 +455,7 @@ std::vector<std::string> audit_durability(
 int run_direct(const Options& opt, LiveState& live,
                std::atomic<std::uint64_t>& progress) {
   const SteadyPoint epoch = std::chrono::steady_clock::now();
-  live.set(opt.seed, "", opt.plan_text);
+  live.set(opt.seed, "", opt.plan.to_string());
   Fleet fleet(opt.fleet_config(), epoch);
   if (!start_fleet(opt, fleet)) return kExitViolation;
   progress.fetch_add(1);
@@ -506,7 +512,7 @@ int run_direct(const Options& opt, LiveState& live,
 int run_kill_majority(const Options& opt, LiveState& live,
                       std::atomic<std::uint64_t>& progress) {
   const SteadyPoint epoch = std::chrono::steady_clock::now();
-  live.set(opt.seed, "", opt.plan_text);
+  live.set(opt.seed, "", opt.plan.to_string());
   Fleet fleet(opt.fleet_config(), epoch);
   if (!start_fleet(opt, fleet)) return kExitViolation;
 
@@ -566,13 +572,14 @@ int run_kill_majority(const Options& opt, LiveState& live,
 int run_sweep(const Options& opt, std::atomic<std::uint64_t>& progress) {
   const unsigned losses[] = {0, 10, 100};  // permille: 0%, 1%, 10%
   const int fs[] = {1, 2};
-  std::ostringstream rows;
+  compreg::BenchRows rows;
   int cell = 0;
   for (const int f : fs) {
     for (const unsigned loss : losses) {
       Options cfg = opt;
       cfg.f = f;
-      cfg.plan_text = loss == 0 ? "" : "drop:" + std::to_string(loss);
+      cfg.plan = NetFaultPlan{};
+      cfg.plan.drop_permille = loss;
       cfg.base_port = opt.base_port + 16 * cell;
       cfg.clients = 2;
       cfg.kills = 0;
@@ -611,17 +618,19 @@ int run_sweep(const Options& opt, std::atomic<std::uint64_t>& progress) {
       const double p99 = percentile_us(lat, 0.99);
       const double retries_per_op = static_cast<double>(retries) / ops_d;
       const double msgs_per_op = static_cast<double>(frames) / ops_d;
-      rows << (cell == 0 ? "" : ",\n") << "    {\"experiment\": \"E18\", "
-           << "\"kind\": \"" << kind_name(opt.kind)
-           << "\", \"writer_ops_per_cell\": " << opt.ops
-           << ", \"loss_permille\": " << loss << ", \"f\": " << f
-           << ", \"ops\": " << ops
-           << ", \"throughput_ops_per_s\": " << ops_d / secs
-           << ", \"p50_us\": " << p50 << ", \"p99_us\": " << p99
-           << ", \"retries_per_op\": " << retries_per_op
-           << ", \"msgs_per_op\": " << msgs_per_op
-           << ", \"pending_writes\": " << pending
-           << ", \"unavailable_reads\": " << unavailable_reads << "}";
+      std::ostringstream row;
+      row << "{\"experiment\": \"E18\", "
+          << "\"kind\": \"" << kind_name(opt.kind)
+          << "\", \"writer_ops_per_cell\": " << opt.ops
+          << ", \"loss_permille\": " << loss << ", \"f\": " << f
+          << ", \"ops\": " << ops
+          << ", \"throughput_ops_per_s\": " << ops_d / secs
+          << ", \"p50_us\": " << p50 << ", \"p99_us\": " << p99
+          << ", \"retries_per_op\": " << retries_per_op
+          << ", \"msgs_per_op\": " << msgs_per_op
+          << ", \"pending_writes\": " << pending
+          << ", \"unavailable_reads\": " << unavailable_reads << "}";
+      rows.add_text(row.str());
       ++cell;
       std::printf("bench: loss=%u%%o f=%d ops=%" PRIu64
                   " thr=%.0f/s p50=%.1fus p99=%.1fus retries/op=%.4f "
@@ -631,15 +640,7 @@ int run_sweep(const Options& opt, std::atomic<std::uint64_t>& progress) {
     }
   }
 
-  std::ofstream out(opt.bench_json);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", opt.bench_json.c_str());
-    return kExitViolation;
-  }
-  out << "{\n  \"schema_version\": 1,\n  \"bench\": \"transport\",\n"
-      << "  \"rows\": [\n" << rows.str() << "\n  ]\n}\n";
-  std::printf("bench: wrote %s\n", opt.bench_json.c_str());
-  return 0;
+  return rows.write(opt.bench_json, "transport") ? 0 : kExitViolation;
 }
 
 // ---------------------------------------------------------------------------
@@ -885,7 +886,7 @@ ServerStats parse_server_stats(const std::string& path) {
 int run_soak(const Options& opt, LiveState& live,
              std::atomic<std::uint64_t>& progress) {
   const SteadyPoint epoch = std::chrono::steady_clock::now();
-  live.set(opt.seed, "", opt.plan_text);
+  live.set(opt.seed, "", opt.plan.to_string());
   Fleet fleet(opt.fleet_config(), epoch);
   if (!start_fleet(opt, fleet)) return kExitViolation;
   progress.fetch_add(1);
@@ -909,9 +910,9 @@ int run_soak(const Options& opt, LiveState& live,
         "--epoch-ns", std::to_string(epoch_to_ns(epoch)),
         "--stats-out", stats_path,
     };
-    if (!opt.plan_text.empty()) {
+    if (!opt.plan.empty()) {
       argv.push_back("--plan");
-      argv.push_back(opt.plan_text);
+      argv.push_back(opt.plan.to_string());
     }
     fleet.sup().spawn(server_node, argv);
   }
@@ -938,7 +939,7 @@ int run_soak(const Options& opt, LiveState& live,
     }
     if (!up) {
       write_artifact(opt.artifact, "server startup failure", opt.seed, "",
-                     opt.plan_text, "", replay_command(opt),
+                     opt.plan.to_string(), "", replay_command(opt),
                      "no ReadOk from the daemon within 15s of spawn",
                      nullptr);
       return kExitViolation;
@@ -1151,14 +1152,9 @@ int run_soak(const Options& opt, LiveState& live,
               st.batch_rounds);
 
   if (!opt.bench_json.empty()) {
-    std::ofstream out(opt.bench_json);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", opt.bench_json.c_str());
-      return kExitViolation;
-    }
-    out << "{\n  \"schema_version\": 1,\n  \"bench\": \"server\",\n"
-        << "  \"rows\": [\n    {\"experiment\": \"E20\", \"kind\": \""
-        << kind_name(opt.kind) << "\", \"clients\": " << opt.clients
+    std::ostringstream row;
+    row << "{\"experiment\": \"E20\", \"kind\": \"" << kind_name(opt.kind)
+        << "\", \"clients\": " << opt.clients
         << ", \"write_pct\": " << opt.write_pct << ", \"ops\": " << completed
         << ", \"secs\": " << secs << ", \"throughput_ops_per_s\": " << thr
         << ", \"p50_us\": " << p50 << ", \"p99_us\": " << p99
@@ -1172,8 +1168,10 @@ int run_soak(const Options& opt, LiveState& live,
         << ", \"busy\": " << busy << ", \"timeouts\": " << timeouts
         << ", \"batch_occupancy_mean\": " << st.batch_mean
         << ", \"batch_rounds\": " << st.batch_rounds
-        << ", \"kills\": " << opt.kills << "}\n  ]\n}\n";
-    std::printf("bench: wrote %s\n", opt.bench_json.c_str());
+        << ", \"kills\": " << opt.kills << "}";
+    compreg::BenchRows rows;
+    rows.add_text(row.str());
+    if (!rows.write(opt.bench_json, "server")) return kExitViolation;
   }
   return verdict(opt, findings);
 }
@@ -1189,6 +1187,7 @@ int main(int argc, char** argv) {
   opt.artifact.tool = "compreg_loadgen";
   opt.artifact.path = "compreg_loadgen_failure.txt";
   const char* service_flag = nullptr;  // last service-only flag given
+  std::string plan_text;
   for (int i = 1; i < argc; ++i) {
     auto next = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -1214,7 +1213,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(flag, "--dir")) {
       opt.dir = next(flag);
     } else if (!std::strcmp(flag, "--plan")) {
-      opt.plan_text = next(flag);
+      plan_text = next(flag);
     } else if (!std::strcmp(flag, "--clients")) {
       opt.clients = static_cast<int>(number(1, 1024));
     } else if (!std::strcmp(flag, "--ops")) {
@@ -1261,12 +1260,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--kill-majority needs --direct\n");
     return kExitUsage;
   }
-  if (!opt.plan_text.empty()) {
+  if (!plan_text.empty()) {
     std::string error;
-    if (!NetFaultPlan::parse(opt.plan_text, &error)) {
+    auto plan = NetFaultPlan::parse(plan_text, &error);
+    if (!plan) {
       std::fprintf(stderr, "bad --plan: %s\n", error.c_str());
       return kExitUsage;
     }
+    opt.plan = *std::move(plan);
   }
   if (opt.attempt_ms == 0) opt.attempt_ms = opt.direct ? 15 : 100;
   if (opt.server_bin.empty()) opt.server_bin = default_server_bin();
@@ -1281,14 +1282,7 @@ int main(int argc, char** argv) {
     opt.dir = made;
     made_tmp = true;
   }
-  {
-    std::ostringstream os;
-    os << "compreg_loadgen" << (opt.direct ? " --direct" : "") << " --f "
-       << opt.f << " --kind " << kind_name(opt.kind) << " --clients "
-       << opt.clients << " --ops " << opt.ops << " --kills " << opt.kills
-       << " --seed " << opt.seed;
-    opt.artifact.config_line = os.str();
-  }
+  opt.artifact.config_line = config_line(opt);
 
   LiveState live;
   std::atomic<std::uint64_t> progress{0};
