@@ -7,7 +7,10 @@
 // exactly TR(C,R) base-register steps, no matter what the writer does.
 // We run both against the same deterministic adversarial schedule (the
 // simulator rations the scanner to one step per N writer steps) so the
-// contrast is exact, then once more on free-running native threads.
+// contrast is exact, then once more on free-running native threads,
+// counting every native composite scan. Exits 1 if any composite scan
+// costs other than TR(2,1).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -43,30 +46,32 @@ std::uint64_t scan_cost_under_adversary(Snap& snap, int period) {
 }  // namespace
 
 int main() {
+  using Composite = compreg::core::CompositeRegister<std::uint64_t>;
+  const std::uint64_t tr = Composite::read_cost(2, 1);
+  int deviations = 0;
   std::printf("deterministic adversary: scanner gets 1 step per N writer "
               "steps (C=2)\n");
   std::printf("%6s %24s %24s\n", "N", "double-collect scan ops",
               "composite-register ops");
   for (int period : {2, 8, 32}) {
     compreg::baselines::DoubleCollectSnapshot<std::uint64_t> dc(2, 1, 0);
-    compreg::core::CompositeRegister<std::uint64_t> cr(2, 1, 0);
+    Composite cr(2, 1, 0);
+    const std::uint64_t cr_cost = scan_cost_under_adversary(cr, period);
+    if (cr_cost != tr) ++deviations;
     std::printf("%6d %24llu %24llu\n", period,
                 static_cast<unsigned long long>(
                     scan_cost_under_adversary(dc, period)),
-                static_cast<unsigned long long>(
-                    scan_cost_under_adversary(cr, period)));
+                static_cast<unsigned long long>(cr_cost));
   }
   std::printf("(the double-collect column scales with writer pressure — "
               "with an infinite writer it never returns; the composite "
               "register column is the constant TR(2,1) = %llu)\n\n",
-              static_cast<unsigned long long>(
-                  compreg::core::CompositeRegister<std::uint64_t>::read_cost(
-                      2, 1)));
+              static_cast<unsigned long long>(tr));
 
   std::printf("native threads, 200 ms of continuous writes:\n");
   {
     compreg::baselines::DoubleCollectSnapshot<std::uint64_t> dc(2, 1, 0);
-    compreg::core::CompositeRegister<std::uint64_t> cr(2, 1, 0);
+    Composite cr(2, 1, 0);
     std::atomic<bool> stop{false};
     std::thread writer([&] {
       std::uint64_t i = 0;
@@ -77,26 +82,38 @@ int main() {
     });
     std::vector<compreg::core::Item<std::uint64_t>> out;
     std::uint64_t dc_scans = 0, cr_scans = 0;
+    std::uint64_t cr_min = ~std::uint64_t{0}, cr_max = 0;
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
     while (std::chrono::steady_clock::now() < deadline) {
       dc.scan_items(0, out);
       ++dc_scans;
+      const compreg::OpWindow win;
       cr.scan_items(0, out);
+      const std::uint64_t cost = win.delta().total();
+      cr_min = std::min(cr_min, cost);
+      cr_max = std::max(cr_max, cost);
       ++cr_scans;
     }
     stop.store(true);
     writer.join();
+    if (cr_min != tr || cr_max != tr) ++deviations;
     std::printf("  double-collect: %llu scans, worst scan made %llu "
                 "collects\n",
                 static_cast<unsigned long long>(dc_scans),
                 static_cast<unsigned long long>(dc.stats(0).max_collects));
-    std::printf("  composite reg : %llu scans, every scan exactly %llu "
-                "base ops\n",
+    std::printf("  composite reg : %llu scans, %llu..%llu base ops each "
+                "(TR(2,1) = %llu)\n",
                 static_cast<unsigned long long>(cr_scans),
-                static_cast<unsigned long long>(
-                    compreg::core::CompositeRegister<
-                        std::uint64_t>::read_cost(2, 1)));
+                static_cast<unsigned long long>(cr_min),
+                static_cast<unsigned long long>(cr_max),
+                static_cast<unsigned long long>(tr));
+  }
+  if (deviations != 0) {
+    std::printf("DEVIATION: %d composite-register row(s) differ from "
+                "TR(2,1)\n",
+                deviations);
+    return 1;
   }
   return 0;
 }

@@ -3,7 +3,9 @@
 // socket register (net/real/client.h, net/real/replica.h) make lives
 // here, with no I/O, no clocks and no schedule points. Each side owns
 // only its transport and its unit of time: it feeds the core what
-// arrived and sends what the core returns.
+// arrived and sends what the core returns. A replica on either side is
+// one call per message, AbdReplica::on_message, so the DPOR
+// certificates over the simulator cover the socket replica's dispatch.
 //
 // The protocol is the single-writer half of Attiya–Bar-Noy–Dolev, in
 // the crash-recovery model of Imbs–Mostéfaoui–Perrin–Raynal. 2f+1
@@ -19,21 +21,24 @@
 //          concurrent readers atomic rather than merely regular; on a
 //          uniform quorum it would be a no-op, so it is skipped.
 //
-// Replica rules (AbdReplica):
+// Replica rules (AbdReplica::on_message, the one dispatch that the
+// socket replica process and the simulated replicas both run): each
+// message in, at most one reply out, to the sender.
 //
 //   STORE(ts, v)    Adopt (ts, v) iff ts is newer, persist the adopted
-//                   state, and only then acknowledge ts. Persist-before-
-//                   ack is what lets a crash–recover cycle keep every
-//                   acknowledged write. Adopt-if-newer makes duplicated
-//                   and reordered STOREs harmless.
-//   QUERY, SYNC_REQ Answer with the current (ts, v).
+//                   state, and only then reply STORE_ACK(ts). Persist-
+//                   before-ack is what lets a crash–recover cycle keep
+//                   every acknowledged write. Adopt-if-newer makes
+//                   duplicated and reordered STOREs harmless.
+//   QUERY, SYNC_REQ Reply QUERY_REPLY or SYNC_REPLY with the current
+//                   (ts, v).
 //   rejoin          A restarted replica reloads its stable storage and
-//                   stops serving. It asks every peer for its state under
-//                   a fresh round tag and folds each SYNC_REPLY in
-//                   (adopt-if-newer, persist). Once itself and f distinct
-//                   peers have answered, it serves again: that is a read
-//                   quorum, and it intersects the ack quorum of every
-//                   completed write.
+//                   stops serving. It sends sync_req(), a SYNC_REQ under
+//                   a fresh round tag, to every peer and folds each
+//                   SYNC_REPLY in (adopt-if-newer, persist; no reply).
+//                   Once itself and f distinct peers have answered, it
+//                   serves again: that is a read quorum, and it
+//                   intersects the ack quorum of every completed write.
 //   serving gate    While catching up, a replica answers nothing. Clients
 //                   absorb the silence as transient loss, and two
 //                   catching-up replicas cannot vouch for each other.
@@ -92,8 +97,35 @@ struct Stamped {
   T val{};
 };
 
-// One replica. The caller passes the replica's stable storage to each
-// handler that persists, so the storage stays the caller's I/O.
+// The six protocol messages. Each request's reply kind is the next
+// value (reply_kind). The socket wire format (net/real/wire.h) sends
+// these values as its type byte.
+enum class AbdKind : std::uint8_t {
+  kStore = 1,       // STORE(ts, val)
+  kStoreAck = 2,    // ts = the STORE's ts, now covered by stable storage
+  kQuery = 3,       // QUERY
+  kQueryReply = 4,  // (ts, val) = the replica's state
+  kSyncReq = 5,     // rejoin catch-up: op = the round tag
+  kSyncReply = 6,   // (ts, val) = the peer's state
+};
+
+// The kind that answers a STORE, QUERY or SYNC_REQ.
+constexpr AbdKind reply_kind(AbdKind request) {
+  return static_cast<AbdKind>(static_cast<std::uint8_t>(request) + 1);
+}
+
+// One protocol message. `op` is the client phase's op id, which its
+// replies echo, or the catch-up round's tag.
+template <typename T>
+struct AbdMsg {
+  AbdKind kind = AbdKind::kQuery;
+  std::uint64_t op = 0;
+  std::uint64_t ts = 0;
+  T val{};
+};
+
+// One replica. The caller passes the replica's stable storage with each
+// message, so the storage stays the caller's I/O.
 template <typename T, typename D>
   requires DurableStore<D, T>
 class AbdReplica {
@@ -106,25 +138,30 @@ class AbdReplica {
                   "replica id %d out of range for f = %d", self, f_);
   }
 
-  // STORE(ts, val). Returns the timestamp to acknowledge — the requested
-  // one, now covered by stable storage — or nullopt (stay silent) while
-  // catching up.
-  std::optional<std::uint64_t> on_store(std::uint64_t ts, const T& val,
-                                        D& durable) {
+  // Message `m` from node `from`. Returns the reply to send back to
+  // `from`, or nullopt to stay silent: for a SYNC_REPLY, for a reply
+  // kind or a kind that is not a protocol message, and for every
+  // request while catching up. A STORE_ACK returns only after the
+  // persist that covers it.
+  std::optional<AbdMsg<T>> on_message(int from, const AbdMsg<T>& m,
+                                      D& durable) {
+    if (m.kind == AbdKind::kSyncReply) {
+      fold_in(from, m, durable);
+      return std::nullopt;
+    }
     if (!serving_) return std::nullopt;
-    adopt(ts, val, durable);
-    return ts;
-  }
-
-  // QUERY and SYNC_REQ. Returns the state to answer with, or nullopt
-  // while catching up.
-  std::optional<Stamped<T>> on_query() const {
-    if (!serving_) return std::nullopt;
-    return state_;
+    if (m.kind == AbdKind::kStore) {
+      adopt(m.ts, m.val, durable);
+      return AbdMsg<T>{AbdKind::kStoreAck, m.op, m.ts};
+    }
+    if (m.kind == AbdKind::kQuery || m.kind == AbdKind::kSyncReq) {
+      return AbdMsg<T>{reply_kind(m.kind), m.op, state_.ts, state_.val};
+    }
+    return std::nullopt;
   }
 
   // Restart: reload stable storage and stop serving until the catch-up
-  // round `tag` completes. The caller sends SYNC_REQ(tag) to every peer,
+  // round `tag` completes. The caller sends sync_req() to every peer,
   // and re-sends on its own schedule if it wants to. A tag must differ
   // from every earlier round's, so stale replies cannot count.
   void rejoin(std::uint64_t tag, const D& durable) {
@@ -134,19 +171,9 @@ class AbdReplica {
     heard_ = 0;
   }
 
-  // SYNC_REPLY(tag, ts, val) from `peer`. Returns true when this reply
-  // completes the catch-up quorum, so the replica serves from now on.
-  bool on_sync_reply(int peer, std::uint64_t tag, std::uint64_t ts,
-                     const T& val, D& durable) {
-    if (serving_ || tag != tag_) return false;  // not catching up, or stale
-    if (peer < 0 || peer >= 2 * f_ + 1 || peer == self_) return false;
-    adopt(ts, val, durable);
-    const std::uint64_t bit = std::uint64_t{1} << peer;
-    if ((heard_ & bit) != 0) return false;  // count each peer once
-    heard_ |= bit;
-    if (std::popcount(heard_) < f_) return false;  // self + f peers
-    serving_ = true;
-    return true;
+  // The current catch-up round's request.
+  AbdMsg<T> sync_req() const {
+    return AbdMsg<T>{AbdKind::kSyncReq, tag_, state_.ts};
   }
 
   std::uint64_t ts() const { return state_.ts; }
@@ -158,6 +185,16 @@ class AbdReplica {
   void adopt(std::uint64_t ts, const T& val, D& durable) {
     if (ts > state_.ts) state_ = Stamped<T>{ts, val};
     durable.persist(state_.ts, state_.val);
+  }
+
+  // SYNC_REPLY from `peer`: adopted only in the current round, from a
+  // peer other than itself; serving resumes at self + f distinct peers.
+  void fold_in(int peer, const AbdMsg<T>& m, D& durable) {
+    if (serving_ || m.op != tag_) return;  // not catching up, or stale
+    if (peer < 0 || peer >= 2 * f_ + 1 || peer == self_) return;
+    adopt(m.ts, m.val, durable);
+    heard_ |= std::uint64_t{1} << peer;  // each peer counts once
+    serving_ = std::popcount(heard_) >= f_;
   }
 
   int self_;
@@ -242,15 +279,13 @@ struct RetryBudget {
 };
 
 // A client's link to the replicas, in its own unit of time.
-// broadcast(phase, op, store) sends STORE(*store), or QUERY if store is
-// empty, to every replica; replies go to phase.offer().
-// await(phase, budget) waits up to `budget` for phase.quorum() and
-// returns it.
+// broadcast(phase, request) sends the phase's STORE or QUERY to every
+// replica; replies go to phase.offer(). await(phase, budget) waits up
+// to `budget` for phase.quorum() and returns it.
 template <typename L, typename T>
 concept AbdLink = requires(L& link, QuorumCollector<T>& phase,
-                           std::uint64_t n,
-                           const std::optional<Stamped<T>>& store) {
-  link.broadcast(phase, n, store);
+                           std::uint64_t n, const AbdMsg<T>& request) {
+  link.broadcast(phase, request);
   { link.await(phase, n) } -> std::same_as<bool>;
 };
 
@@ -273,17 +308,18 @@ class AbdClient {
   // False means Unavailable: the write may still take effect later.
   bool write(std::uint64_t ts, const T& v) {
     ++stats_.writes;
-    return quorum_phase(Stamped<T>{ts, v});
+    return quorum_phase(AbdMsg<T>{AbdKind::kStore, 0, ts, v});
   }
 
   // nullopt means Unavailable.
   std::optional<Stamped<T>> read() {
     ++stats_.reads;
-    if (!quorum_phase(std::nullopt)) return std::nullopt;
+    if (!quorum_phase(AbdMsg<T>{AbdKind::kQuery})) return std::nullopt;
     ReadChoice<T> choice = phase_.read_choice();
     if (!choice.write_back) {
       ++stats_.writeback_skips;
-    } else if (quorum_phase(choice)) {
+    } else if (quorum_phase(
+                   AbdMsg<T>{AbdKind::kStore, 0, choice.ts, choice.val})) {
       ++stats_.writebacks;
     } else {
       return std::nullopt;
@@ -292,13 +328,14 @@ class AbdClient {
   }
 
  private:
-  // A backoff wait still takes replies: a late quorum ends it early.
-  bool quorum_phase(const std::optional<Stamped<T>>& store) {
+  // One phase of `request`, under the phase's op id. A backoff wait
+  // still takes replies: a late quorum ends it early.
+  bool quorum_phase(AbdMsg<T> request) {
     ++stats_.phases;
-    const std::uint64_t op = phase_.begin();
+    request.op = phase_.begin();
     for (unsigned attempt = 0; attempt < budget_.max_attempts; ++attempt) {
       if (attempt > 0) ++stats_.retries;
-      link_.broadcast(phase_, op, store);
+      link_.broadcast(phase_, request);
       if (link_.await(phase_, budget_.attempt)) return true;
       if (attempt + 1 == budget_.max_attempts) break;
       const std::uint64_t window = backoff_window(

@@ -14,12 +14,11 @@ RealAbdClient::RealAbdClient(Transport& net, const RealClientConfig& cfg,
               cfg.jitter_seed, stats_, SocketLink{this}) {}
 
 void RealAbdClient::SocketLink::broadcast(
-    QuorumCollector<std::uint64_t>& phase, std::uint64_t op,
-    const std::optional<Stamped<std::uint64_t>>& store) {
-  want = store ? MsgType::kStoreAck : MsgType::kQueryReply;
-  const WireMsg m{store ? MsgType::kStore : MsgType::kQuery,
-                  static_cast<std::uint32_t>(owner->net_.self()), op,
-                  store ? store->ts : 0, store ? store->val : 0};
+    QuorumCollector<std::uint64_t>& phase,
+    const AbdMsg<std::uint64_t>& request) {
+  want = static_cast<MsgType>(reply_kind(request.kind));
+  const WireMsg m =
+      to_wire(static_cast<std::uint32_t>(owner->net_.self()), request);
   for (int r = 0; r < phase.replicas(); ++r) owner->net_.send(r, m);
 }
 

@@ -73,8 +73,8 @@ class RealAbdClient {
     RealAbdClient* owner;
     MsgType want = MsgType::kQueryReply;  // the current phase's replies
 
-    void broadcast(QuorumCollector<std::uint64_t>& phase, std::uint64_t op,
-                   const std::optional<Stamped<std::uint64_t>>& store);
+    void broadcast(QuorumCollector<std::uint64_t>& phase,
+                   const AbdMsg<std::uint64_t>& request);
     bool await(QuorumCollector<std::uint64_t>& phase, std::uint64_t ms);
   };
 

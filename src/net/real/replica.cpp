@@ -121,10 +121,9 @@ int run_replica(const ReplicaConfig& cfg) {
   Deadline next_sync;  // default = already due
   while (g_stop == 0) {
     if (!replica.serving() && next_sync.expired()) {
+      const WireMsg req = to_wire(self, replica.sync_req());
       for (int peer = 0; peer < cfg.transport.replicas; ++peer) {
-        if (peer == node) continue;
-        net.send(peer, WireMsg{MsgType::kSyncReq, self, replica.tag(),
-                               replica.ts(), 0});
+        if (peer != node) net.send(peer, req);
       }
       next_sync = Deadline::after(kSyncRetry);
     }
@@ -133,39 +132,10 @@ int run_replica(const ReplicaConfig& cfg) {
     std::optional<Delivery> d =
         net.poll(replica.serving() ? Deadline::never() : next_sync);
     if (!d) continue;
-    const WireMsg& m = d->msg;
-    switch (m.type) {
-      case MsgType::kStore:
-        if (const auto acked = replica.on_store(m.ts, m.val, durable)) {
-          net.send(d->src,
-                   WireMsg{MsgType::kStoreAck, self, m.op, *acked, 0});
-        }
-        break;
-      case MsgType::kQuery:
-      case MsgType::kSyncReq:
-        if (const auto state = replica.on_query()) {
-          const MsgType reply = m.type == MsgType::kQuery
-                                    ? MsgType::kQueryReply
-                                    : MsgType::kSyncReply;
-          net.send(d->src,
-                   WireMsg{reply, self, m.op, state->ts, state->val});
-        }
-        break;
-      case MsgType::kSyncReply:
-        if (replica.on_sync_reply(d->src, m.op, m.ts, m.val, durable)) {
-          log_serving();
-        }
-        break;
-      case MsgType::kStoreAck:
-      case MsgType::kQueryReply:
-      case MsgType::kWriteReq:
-      case MsgType::kReadReq:
-      case MsgType::kWriteOk:
-      case MsgType::kReadOk:
-      case MsgType::kUnavailableResp:
-      case MsgType::kBusyResp:
-        break;  // client-role / service-layer frames; stray ones ignored
-    }
+    const bool was_serving = replica.serving();
+    const auto reply = replica.on_message(d->src, to_abd(d->msg), durable);
+    if (reply) net.send(d->src, to_wire(self, *reply));
+    if (replica.serving() && !was_serving) log_serving();
   }
   // Release: the loop is done with the socket before it is destroyed.
   g_socket.store(nullptr, std::memory_order_release);

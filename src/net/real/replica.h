@@ -1,8 +1,10 @@
 // One socket ABD replica: a process-level event loop over the real
 // transport, driving the replica half of net/abd_core.h.
 //
-// The core's AbdReplica makes every protocol decision: adopt-if-newer,
-// persist-before-ack, the serving gate and the catch-up quorum. This
+// The core's AbdReplica::on_message makes every protocol decision:
+// adopt-if-newer, persist-before-ack, the serving gate and the catch-up
+// quorum. The loop decodes each frame, hands it to on_message and sends
+// back the reply; the simulated replicas run the same dispatch. This
 // file owns the process around it. The replica's stable storage is a
 // FileDurable, which a kill-9 cannot tear. A fresh boot and a restart
 // are told apart by FileDurable::existed(): a replica that never

@@ -2,13 +2,16 @@
 //
 // The protocol needs two things from a real network: fire-and-forget
 // `send` and a deadline-bounded `poll` that surfaces whatever arrived.
-// Above this interface everything is net/abd_core.h: the replica
-// handlers, quorum collection, the read rule, the rejoin catch-up and
-// the client's retry loop. The socket client's link (net/real/client.h)
-// and the replica loop (net/real/replica.h) only turn those decisions
-// into frames. The simulator does not implement this interface: its
-// link sends SimNet delivery closures instead, and its schedule points
-// stop at that line (see docs/fault_model.md, "Real transport").
+// Above this interface everything is net/abd_core.h: the replica's
+// dispatch (AbdReplica::on_message), quorum collection, the read rule,
+// the rejoin catch-up and the client's retry loop. The socket client's
+// link (net/real/client.h) and the replica loop (net/real/replica.h)
+// only turn those decisions into frames. The simulator does not
+// implement this interface: its link and its replicas send SimNet
+// delivery closures instead, and its schedule points stop at that line.
+// The replica dispatch is shared, so the simulator's certificates cover
+// it; the sockets are covered by chaos runs (see docs/fault_model.md,
+// "Real transport").
 //
 // SocketTransport is the concrete backend: nonblocking stream sockets
 // (Unix-domain by default, TCP loopback optionally), one epoll set per

@@ -1,9 +1,10 @@
 // Wire format for the real transport (src/net/real/).
 //
 // The simulated network moves closures; a real socket moves bytes, so
-// the real path fixes a concrete message vocabulary — the five ABD
-// protocol messages plus the rejoin catch-up pair — and a byte-exact
-// encoding for them. Every message is one *frame* on a stream socket:
+// the real path fixes a concrete message vocabulary — the six ABD
+// protocol kinds of net/abd_core.h plus the register service's — and a
+// byte-exact encoding for them. Every message is one *frame* on a
+// stream socket:
 //
 //   [u32-le payload length][payload]
 //
@@ -31,14 +32,17 @@
 #include <optional>
 #include <vector>
 
+#include "net/abd_core.h"
+
 namespace compreg::net::real {
 
 enum class MsgType : std::uint8_t {
-  kStore = 1,      // STORE(ts, val): adopt-if-newer, persist, then ack
-  kStoreAck = 2,   // ts = the STORE's ts, now covered by stable storage
-  kQuery = 3,      // QUERY: reply with current (ts, val)
+  // The ABD protocol kinds of net/abd_core.h, value for value.
+  kStore = 1,
+  kStoreAck = 2,
+  kQuery = 3,
   kQueryReply = 4,
-  kSyncReq = 5,    // rejoin catch-up: op = incarnation tag
+  kSyncReq = 5,    // op = the rejoin incarnation tag
   kSyncReply = 6,
   // Client-facing register service vocabulary (src/server/). These
   // types flow only between external clients and the server front-end;
@@ -51,6 +55,17 @@ enum class MsgType : std::uint8_t {
   kBusyResp = 12,         // admission control rejected the op (typed Busy)
 };
 
+constexpr bool same_kind(MsgType t, AbdKind k) {
+  return static_cast<int>(t) == static_cast<int>(k);
+}
+static_assert(same_kind(MsgType::kStore, AbdKind::kStore) &&
+                  same_kind(MsgType::kStoreAck, AbdKind::kStoreAck) &&
+                  same_kind(MsgType::kQuery, AbdKind::kQuery) &&
+                  same_kind(MsgType::kQueryReply, AbdKind::kQueryReply) &&
+                  same_kind(MsgType::kSyncReq, AbdKind::kSyncReq) &&
+                  same_kind(MsgType::kSyncReply, AbdKind::kSyncReply),
+              "wire types 1..6 are the core's protocol kinds");
+
 struct WireMsg {
   MsgType type = MsgType::kStore;
   std::uint32_t src = 0;  // logical node id of the sender
@@ -60,6 +75,17 @@ struct WireMsg {
 
   bool operator==(const WireMsg&) const = default;
 };
+
+// A protocol message as node `src` sends it, and a frame as the core
+// sees it. A service frame (types 7..12) becomes a kind that no replica
+// answers.
+inline WireMsg to_wire(std::uint32_t src, const AbdMsg<std::uint64_t>& m) {
+  return WireMsg{static_cast<MsgType>(m.kind), src, m.op, m.ts, m.val};
+}
+inline AbdMsg<std::uint64_t> to_abd(const WireMsg& m) {
+  return AbdMsg<std::uint64_t>{static_cast<AbdKind>(m.type), m.op, m.ts,
+                               m.val};
+}
 
 inline constexpr std::size_t kWireMsgBytes = 1 + 4 + 8 + 8 + 8;
 inline constexpr std::size_t kFrameHeaderBytes = 4;

@@ -1,9 +1,11 @@
 // ReplicatedRegister: the ABD register of net/abd_core.h over SimNet,
 // the networked substrate for the paper's construction.
 //
-// Requests and replies are SimNet delivery closures, so one poll is one
-// atomic network step. The writer and each reader slot are an
-// AbdClient over a SimLink, which counts time in network polls
+// Every message is an AbdMsg in a SimNet delivery closure, so one poll
+// is one atomic network step. A replica hands each message to
+// AbdReplica::on_message, the dispatch the socket replica process runs
+// too, and sends back what it returns. The writer and each reader slot
+// are an AbdClient over a SimLink, which counts time in network polls
 // (kAttemptPolls, kBackoff*Polls), so every bound is deterministic. A
 // NetFaultPlan `recover` cycle calls on_recover, which reloads the
 // replica's DurableRecord (net/durable_state.h) and sends the catch-up
@@ -183,27 +185,15 @@ class ReplicatedRegister {
   };
   using Replica = AbdReplica<T, SimDurable>;
 
-  // One client's side of SimNet: requests and replies are delivery
-  // closures. A reply goes to the client's collector, which never moves
-  // (the clients live in a deque).
+  // One client's side of SimNet. Replies go to the client's collector,
+  // which never moves (the clients live in a deque).
   struct SimLink {
     ReplicatedRegister* reg;
     int node;
 
-    void broadcast(QuorumCollector<T>& phase, std::uint64_t op,
-                   const std::optional<Stamped<T>>& store) {
+    void broadcast(QuorumCollector<T>& phase, const AbdMsg<T>& request) {
       for (int r = 0; r < reg->cfg_.replicas(); ++r) {
-        reg->net_.send(node, r, [reg = reg, to = node, &phase, r, op,
-                                 store] {
-          const auto offer = [&phase, r, op](const Stamped<T>& s) {
-            phase.offer(r, op, s.ts, s.val);
-          };
-          if (store) {
-            reg->store_at(r, to, *store, offer);
-          } else {
-            reg->answer_query(r, to, offer);
-          }
-        });
+        reg->send(node, r, request, &phase);
       }
     }
 
@@ -217,39 +207,46 @@ class ReplicatedRegister {
     }
   };
 
-  // STORE at replica r, from the writer or a reader's write-back. The
-  // auditor checks the ack against the replica's stable storage, and
-  // `deliver` takes (acked ts, T{}) at node `to`.
-  template <typename Deliver>
-  void store_at(int r, int to, const Stamped<T>& req, Deliver deliver) {
-    SimDurable dur{cfg_.amnesia == Amnesia::kAckBeforePersist
-                       ? nullptr
-                       : &durable_[static_cast<std::size_t>(r)]};
-    const std::optional<std::uint64_t> acked =
-        replicas_[static_cast<std::size_t>(r)].on_store(req.ts, req.val, dur);
-    if (!acked) return;
-    net_.durable().audit_ack(access_.cell(), access_.decl().owner, r,
-                             *acked);
-    net_.send(r, to, [deliver, ts = *acked] { deliver(Stamped<T>{ts, T{}}); });
+  // `m` from node `from` to node `to`, as a SimNet delivery closure.
+  // `phase` collects the replies of a client's request, and is null
+  // between replicas.
+  void send(int from, int to, AbdMsg<T> m, QuorumCollector<T>* phase) {
+    // audit: exempt(waitfree, a message path, not a call chain - send only enqueues the closure and deliver runs from a later SimNet poll; only a request gets a reply, so one message causes at most one more)
+    net_.send(from, to, [this, from, to, m = std::move(m), phase] {
+      deliver(from, to, m, phase);
+    });
   }
 
-  // QUERY or SYNC_REQ at replica r: if it serves, its state is audited
-  // and sent to node `to`, where `deliver` takes it. Returns whether a
-  // reply was sent.
-  template <typename Deliver>
-  bool answer_query(int r, int to, Deliver deliver) {
-    const std::optional<Stamped<T>> state =
-        replicas_[static_cast<std::size_t>(r)].on_query();
-    if (!state) return false;
-    net_.durable().audit_reply(access_.cell(), access_.decl().owner, r,
-                               state->ts);
-    net_.send(r, to, [deliver, reply = *state] { deliver(reply); });
-    return true;
+  // A client's collector takes a reply; a replica's core takes anything
+  // else, and its reply is audited against its stable storage and sent
+  // back. Only a STORE under kAckBeforePersist persists nowhere.
+  void deliver(int from, int to, const AbdMsg<T>& m,
+               QuorumCollector<T>* phase) {
+    if (to >= cfg_.replicas()) {
+      phase->offer(from, m.op, m.ts, m.val);
+      return;
+    }
+    const auto r = static_cast<std::size_t>(to);
+    SimDurable dur{m.kind == AbdKind::kStore &&
+                           cfg_.amnesia == Amnesia::kAckBeforePersist
+                       ? nullptr
+                       : &durable_[r]};
+    std::optional<AbdMsg<T>> reply = replicas_[r].on_message(from, m, dur);
+    if (!reply) return;
+    if (reply->kind == AbdKind::kStoreAck) {
+      net_.durable().audit_ack(access_.cell(), access_.decl().owner, to,
+                               reply->ts);
+    } else {
+      net_.durable().audit_reply(access_.cell(), access_.decl().owner, to,
+                                 reply->ts);
+    }
+    if (reply->kind == AbdKind::kSyncReply) ++net_.stats().catchup_msgs;
+    send(to, from, *std::move(reply), phase);
   }
 
   // SimNet rejoin hook: replica `node` just came back from a crash–
-  // downtime cycle. It reloads its DurableRecord and asks every peer
-  // for its state; the replies ride the network like any other message.
+  // downtime cycle. It reloads its DurableRecord and sends its SYNC_REQ
+  // to every peer; the replies ride the network like any other message.
   // The kBlankRejoin mutant instead serves a blank slate at once.
   void on_recover(int node) {
     Replica& rep = replicas_[static_cast<std::size_t>(node)];
@@ -259,20 +256,11 @@ class ReplicatedRegister {
     }
     DurableRecord<T>& record = durable_[static_cast<std::size_t>(node)];
     record.reload();
-    const std::uint64_t tag = rep.tag() + 1;
-    rep.rejoin(tag, SimDurable{&record});
+    rep.rejoin(rep.tag() + 1, SimDurable{&record});
     for (int r = 0; r < cfg_.replicas(); ++r) {
       if (r == node) continue;
       ++net_.stats().catchup_msgs;
-      net_.send(node, r, [this, node, r, tag, &record] {
-        const auto fold_in = [this, node, r, tag, &record](
-                                 const Stamped<T>& reply) {
-          SimDurable dur{&record};
-          replicas_[static_cast<std::size_t>(node)].on_sync_reply(
-              r, tag, reply.ts, reply.val, dur);
-        };
-        if (answer_query(r, node, fold_in)) ++net_.stats().catchup_msgs;
-      });
+      send(node, r, rep.sync_req(), nullptr);
     }
   }
 

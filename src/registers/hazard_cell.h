@@ -19,8 +19,7 @@
 // the next read on slot j that finds the same node still current reads
 // it with one pointer compare — no store, no fence. The protect/verify
 // handshake runs only when a write has landed since the slot's last
-// read. read_unpin(j, f) is the same read that clears slot j at the
-// end, for a reader that wants to pin nothing while idle.
+// read. A pin is never cleared: it only keeps the writer off that node.
 //
 // The cell makes one allocation, at construction: a block holding the
 // readers' hazard slots and room for readers+2 nodes, each slot and
@@ -32,10 +31,11 @@
 // the capacity of the payload's vectors). Only a write that finds the
 // free list empty scans the hazard slots: the scan moves every retired
 // node no slot holds to the free list, and the write builds a fresh
-// node only if the scan freed nothing. With readers that pin nothing,
-// one scan refills the list for the next readers+1 writes, so the
-// writer reads the readers' slot lines once per readers+1 writes
-// instead of once per write (Michael's amortized scan, IEEE TPDS 2004).
+// node only if the scan freed nothing. With the pool grown and slots
+// pinning k distinct retired nodes, one scan refills the list for the
+// next readers+1-k writes (Michael's amortized scan, IEEE TPDS 2004):
+// idle readers whose last reads saw the same node make the writer read
+// their slot lines once per `readers` writes, not once per write.
 // At most readers+2 nodes are ever built: a scan that frees nothing
 // leaves at most `readers` retired nodes (each held by a slot), plus
 // the current node, plus the one built. So pins kept across reads,
@@ -107,14 +107,30 @@ class HazardCell {
   // stays pinned in the slot after the read returns.
   template <typename F>
   auto read(int reader_id, F&& f) {
-    return read_impl(reader_id, std::forward<F>(f), /*unpin=*/false);
-  }
-
-  // read(reader_id, f), then clear the slot: the read a reader makes
-  // last before it may go idle, so that it keeps no node from recycling.
-  template <typename F>
-  auto read_unpin(int reader_id, F&& f) {
-    return read_impl(reader_id, std::forward<F>(f), /*unpin=*/true);
+    COMPREG_DCHECK(reader_id >= 0 && reader_id < readers_);
+    sched::point(access_.read(reader_id));
+    ++op_counters().reg_reads;
+    HazardSlot& slot = hazards_[static_cast<std::size_t>(reader_id)];
+    // relaxed: only this reader stores to its slot, so the load returns
+    // the slot's last store - the node this reader still pins, if any.
+    const Node* const pinned = slot.ptr.load(std::memory_order_relaxed);
+    Node* node = current_.load(std::memory_order_seq_cst);
+    // Fast path: node == pinned. A pinned node is never recycled
+    // (reclaim() keeps every node a slot holds), and only a recycled or
+    // fresh node can become current, so a pinned node that is current
+    // now has been current ever since this slot validated it: the load
+    // above is a valid linearization point, and the payload is the one
+    // the validating load synchronized with.
+    if (node != pinned) {
+      // audit: exempt(waitfree, hazard-pointer protect/verify is lock-free not wait-free - a retry needs a concurrent write; TaggedCell is the strictly wait-free cell)
+      for (;;) {
+        slot.ptr.store(node, std::memory_order_seq_cst);
+        Node* check = current_.load(std::memory_order_seq_cst);
+        if (check == node) break;  // protected while still current => safe
+        node = check;
+      }
+    }
+    return std::forward<F>(f)(std::as_const(node->value));
   }
 
   T read(int reader_id) {
@@ -184,41 +200,6 @@ class HazardCell {
         Node{std::forward<U>(value)};
     ++nodes_;
     return node;
-  }
-
-  template <typename F>
-  auto read_impl(int reader_id, F&& f, bool unpin) {
-    COMPREG_DCHECK(reader_id >= 0 && reader_id < readers_);
-    sched::point(access_.read(reader_id));
-    ++op_counters().reg_reads;
-    HazardSlot& slot = hazards_[static_cast<std::size_t>(reader_id)];
-    // relaxed: only this reader stores to its slot, so the load returns
-    // the slot's last store - the node this reader still pins, if any.
-    const Node* const pinned = slot.ptr.load(std::memory_order_relaxed);
-    Node* node = current_.load(std::memory_order_seq_cst);
-    // Fast path: node == pinned. A pinned node is never recycled
-    // (reclaim() keeps every node a slot holds), and only a recycled or
-    // fresh node can become current, so a pinned node that is current
-    // now has been current ever since this slot validated it: the load
-    // above is a valid linearization point, and the payload is the one
-    // the validating load synchronized with.
-    if (node != pinned) {
-      // audit: exempt(waitfree, hazard-pointer protect/verify is lock-free not wait-free - a retry needs a concurrent write; TaggedCell is the strictly wait-free cell)
-      for (;;) {
-        slot.ptr.store(node, std::memory_order_seq_cst);
-        Node* check = current_.load(std::memory_order_seq_cst);
-        if (check == node) break;  // protected while still current => safe
-        node = check;
-      }
-    }
-    auto out = std::forward<F>(f)(std::as_const(node->value));
-    if (unpin) {
-      // release: the protected reads of node->value must complete
-      // before the slot is published empty, or the writer could recycle
-      // the node under us.
-      slot.ptr.store(nullptr, std::memory_order_release);
-    }
-    return out;
   }
 
   void reclaim() {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <variant>
 
 #include "core/composite_register.h"
 #include "lin/shrinking_checker.h"
@@ -87,6 +89,75 @@ TEST(CompositeConcurrentTest, PerReaderMonotonicity) {
   }
   stop.store(true);
   writers.join();
+}
+
+template <typename T>
+class CompositeInvariantTest : public ::testing::Test {};
+
+struct HazardBackend {
+  template <typename V>
+  using Reg = CompositeRegister<V, registers::HazardCell>;
+};
+struct TaggedBackend {
+  template <typename V>
+  using Reg = CompositeRegister<V, registers::TaggedCell>;
+};
+
+using Backends = ::testing::Types<HazardBackend, TaggedBackend>;
+TYPED_TEST_SUITE(CompositeInvariantTest, Backends);
+
+// The paper's introduction scenario: an invariant across components
+// holds in every scan. The writer keeps component 0 == component 1,
+// writing 0 then 1, so a scan may see {n+1, n} mid-update but never
+// component 1 ahead of component 0 or more than one write behind.
+TYPED_TEST(CompositeInvariantTest, CrossComponentInvariantHoldsInEveryScan) {
+  typename TypeParam::template Reg<std::uint64_t> reg(2, 1, 0);
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (std::uint64_t i = 1; i <= 20000; ++i) {
+      reg.update(0, i);
+      reg.update(1, i);
+    }
+    stop.store(true);
+  });
+  std::vector<std::uint64_t> pair;
+  do {
+    reg.scan(0, pair);
+    ASSERT_EQ(pair.size(), 2u);
+    ASSERT_GE(pair[0], pair[1]);
+    ASSERT_LE(pair[0] - pair[1], 1u);
+  } while (!stop.load());
+  writer.join();
+  reg.scan(0, pair);
+  EXPECT_EQ(pair, (std::vector<std::uint64_t>{20000, 20000}));
+}
+
+// The same invariant across components of different types: the writer
+// keeps the string component equal to the decimal rendering of the
+// integer one, and every scan agrees up to the one write in flight.
+TYPED_TEST(CompositeInvariantTest, MixedTypeComponentsStayConsistent) {
+  using V = std::variant<std::uint64_t, std::string>;
+  typename TypeParam::template Reg<V> reg(2, 1, V{std::uint64_t{0}});
+  reg.update(1, V{std::string("0")});
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (std::uint64_t i = 1; i <= 5000; ++i) {
+      reg.update(0, V{i});
+      reg.update(1, V{std::to_string(i)});
+    }
+    stop.store(true);
+  });
+  std::vector<V> snap;
+  do {
+    reg.scan(0, snap);
+    ASSERT_EQ(snap.size(), 2u);
+    const std::uint64_t n = std::get<std::uint64_t>(snap[0]);
+    const std::uint64_t parsed = std::stoull(std::get<std::string>(snap[1]));
+    // The integer is written first, so it may lead the string by one.
+    ASSERT_GE(n, parsed);
+    ASSERT_LE(n - parsed, 1u);
+  } while (!stop.load());
+  writer.join();
 }
 
 }  // namespace

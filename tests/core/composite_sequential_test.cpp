@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <variant>
+
 #include "registers/tagged_cell.h"
 
 namespace compreg::core {
@@ -101,6 +104,32 @@ TYPED_TEST(CompositeSequentialTest, UpdateReturnsMonotoneIds) {
     EXPECT_EQ(id, last + 1);
     last = id;
   }
+}
+
+// Components of one register may hold different types through a
+// std::variant value: each scan returns the alternative each component
+// was last written with, and a component never written keeps the
+// Initial Write's alternative.
+TYPED_TEST(CompositeSequentialTest, VariantComponentsKeepTheirAlternative) {
+  using V = std::variant<std::uint64_t, std::string, bool>;
+  typename TypeParam::template Reg<V> reg(3, 2, V{std::uint64_t{7}});
+  reg.update(1, V{std::string("boot")});
+  reg.update(2, V{true});
+  for (int j = 0; j < 2; ++j) {
+    const auto items = reg.scan_items(j);
+    ASSERT_EQ(items.size(), 3u);
+    ASSERT_TRUE(std::holds_alternative<std::uint64_t>(items[0].val));
+    EXPECT_EQ(std::get<std::uint64_t>(items[0].val), 7u);
+    EXPECT_EQ(items[0].id, 0u);
+    ASSERT_TRUE(std::holds_alternative<std::string>(items[1].val));
+    EXPECT_EQ(std::get<std::string>(items[1].val), "boot");
+    ASSERT_TRUE(std::holds_alternative<bool>(items[2].val));
+    EXPECT_TRUE(std::get<bool>(items[2].val));
+  }
+  reg.update(0, V{std::uint64_t{43}});
+  const auto vals = reg.scan(1);
+  EXPECT_EQ(std::get<std::uint64_t>(vals[0]), 43u);
+  EXPECT_EQ(std::get<std::string>(vals[1]), "boot");
 }
 
 // Parameterized sweep over (C, R): sequential semantics must hold for

@@ -1,5 +1,5 @@
-// The sans-IO ABD core (net/abd_core.h) on its own: the replica
-// handlers against a fake stable storage that logs every call, the
+// The sans-IO ABD core (net/abd_core.h) on its own: the replica's
+// dispatch against a fake stable storage that logs every call, the
 // quorum collector and the read rule, the client's retry loop and read
 // sequence over a scripted link, and the bounds on f. Both the SimNet
 // register and the socket register run exactly this code.
@@ -43,14 +43,31 @@ struct LogDurable {
 };
 
 using Replica = AbdReplica<std::uint64_t, LogDurable>;
+using Msg = AbdMsg<std::uint64_t>;
+using Reply = std::optional<Msg>;
+
+constexpr int kClient = 9;  // a client node id, above every replica's
+
+static_assert(reply_kind(AbdKind::kStore) == AbdKind::kStoreAck);
+static_assert(reply_kind(AbdKind::kQuery) == AbdKind::kQueryReply);
+static_assert(reply_kind(AbdKind::kSyncReq) == AbdKind::kSyncReply);
 
 // Drives one STORE the way a transport does: the ack goes out (here:
-// into the log) only once on_store has returned it.
+// into the log) only once on_message has returned it.
 void store(Replica& rep, LogDurable& dur, std::uint64_t ts,
            std::uint64_t val) {
-  if (const auto acked = rep.on_store(ts, val, dur)) {
-    dur.log->push_back("ack " + std::to_string(*acked));
-  }
+  const Reply ack =
+      rep.on_message(kClient, Msg{AbdKind::kStore, 1, ts, val}, dur);
+  if (ack) dur.log->push_back("ack " + std::to_string(ack->ts));
+}
+
+// Folds SYNC_REPLY(tag, ts, val) from `peer` in. It never gets a reply.
+// Returns whether the replica serves afterwards.
+bool sync_reply(Replica& rep, LogDurable& dur, int peer, std::uint64_t tag,
+                std::uint64_t ts, std::uint64_t val) {
+  EXPECT_EQ(rep.on_message(peer, Msg{AbdKind::kSyncReply, tag, ts, val}, dur),
+            std::nullopt);
+  return rep.serving();
 }
 
 TEST(AbdReplicaTest, PersistsBeforeTheAckReturns) {
@@ -77,10 +94,45 @@ TEST(AbdReplicaTest, StoreAdoptsOnlyIfNewer) {
   EXPECT_EQ(log, (std::vector<std::string>{"persist 5=50", "ack 5",
                                            "persist 5=50", "ack 3",
                                            "persist 5=50", "ack 5"}));
-  const auto state = rep.on_query();
+  const Reply state = rep.on_message(kClient, Msg{AbdKind::kQuery, 2}, dur);
   ASSERT_TRUE(state.has_value());
   EXPECT_EQ(state->ts, 5u);
   EXPECT_EQ(state->val, 50u);
+}
+
+TEST(AbdReplicaTest, EachRequestGetsItsReplyKindEchoingItsOp) {
+  std::vector<std::string> log;
+  LogDurable dur{&log};
+  Replica rep(/*self=*/1, /*f=*/1, 0);
+  const Reply ack =
+      rep.on_message(kClient, Msg{AbdKind::kStore, 4, 7, 70}, dur);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->kind, AbdKind::kStoreAck);
+  EXPECT_EQ(ack->op, 4u);
+  EXPECT_EQ(ack->ts, 7u);
+  const Reply query = rep.on_message(kClient, Msg{AbdKind::kQuery, 5}, dur);
+  ASSERT_TRUE(query.has_value());
+  EXPECT_EQ(query->kind, AbdKind::kQueryReply);
+  EXPECT_EQ(query->op, 5u);
+  EXPECT_EQ(query->ts, 7u);
+  EXPECT_EQ(query->val, 70u);
+  const Reply sync = rep.on_message(/*from=*/2, Msg{AbdKind::kSyncReq, 33},
+                                    dur);
+  ASSERT_TRUE(sync.has_value());
+  EXPECT_EQ(sync->kind, AbdKind::kSyncReply);
+  EXPECT_EQ(sync->op, 33u);  // the round tag comes back
+  EXPECT_EQ(sync->ts, 7u);
+  EXPECT_EQ(sync->val, 70u);
+  // Replies, and kinds outside the protocol, get nothing back.
+  log.clear();
+  for (const std::uint8_t kind : {2, 4, 6, 7, 12}) {
+    EXPECT_EQ(rep.on_message(2, Msg{static_cast<AbdKind>(kind), 1, 9, 90},
+                             dur),
+              std::nullopt)
+        << "kind " << int{kind};
+  }
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(rep.ts(), 7u);
 }
 
 TEST(AbdReplicaTest, NotServingIsSilent) {
@@ -93,10 +145,42 @@ TEST(AbdReplicaTest, NotServingIsSilent) {
   EXPECT_FALSE(rep.serving());
   EXPECT_EQ(rep.ts(), 4u);  // reloaded from stable storage
   EXPECT_EQ(rep.value(), 40u);
-  EXPECT_EQ(rep.on_store(9, 90, dur), std::nullopt);  // STORE
-  EXPECT_EQ(rep.on_query(), std::nullopt);  // QUERY and SYNC_REQ
+  for (const AbdKind kind :
+       {AbdKind::kStore, AbdKind::kQuery, AbdKind::kSyncReq}) {
+    EXPECT_EQ(rep.on_message(kClient, Msg{kind, 1, 9, 90}, dur), std::nullopt)
+        << "kind " << static_cast<int>(kind);
+  }
   EXPECT_TRUE(log.empty());
   EXPECT_EQ(rep.ts(), 4u);
+}
+
+TEST(AbdReplicaTest, SyncReqCarriesTheRoundTag) {
+  std::vector<std::string> log;
+  LogDurable dur{&log};
+  dur.ts_ = 4;
+  Replica rep(0, 1, 0);
+  rep.rejoin(/*tag=*/12, dur);
+  const Msg req = rep.sync_req();
+  EXPECT_EQ(req.kind, AbdKind::kSyncReq);
+  EXPECT_EQ(req.op, 12u);
+  EXPECT_EQ(req.ts, 4u);
+  EXPECT_EQ(req.val, 0u);
+}
+
+TEST(AbdReplicaTest, CompletingSyncReplyMakesTheReplicaServeAStaleOneDoesNot) {
+  std::vector<std::string> log;
+  LogDurable dur{&log};
+  Replica rep(/*self=*/0, /*f=*/1, 0);  // needs one peer
+  rep.rejoin(/*tag=*/3, dur);
+  EXPECT_FALSE(sync_reply(rep, dur, 1, /*tag=*/2, 8, 80));  // stale
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(rep.on_message(kClient, Msg{AbdKind::kQuery, 1}, dur),
+            std::nullopt);
+  EXPECT_TRUE(sync_reply(rep, dur, 1, 3, 8, 80));
+  EXPECT_EQ(log, (std::vector<std::string>{"persist 8=80"}));
+  const Reply state = rep.on_message(kClient, Msg{AbdKind::kQuery, 1}, dur);
+  ASSERT_TRUE(state.has_value());
+  EXPECT_EQ(state->ts, 8u);
 }
 
 TEST(AbdReplicaTest, CatchUpCountsEachValidPeerOnceInTheCurrentRound) {
@@ -104,21 +188,19 @@ TEST(AbdReplicaTest, CatchUpCountsEachValidPeerOnceInTheCurrentRound) {
   LogDurable dur{&log};
   Replica rep(/*self=*/0, /*f=*/2, 0);  // peers 1..4, needs 2 of them
   rep.rejoin(/*tag=*/7, dur);
-  EXPECT_FALSE(rep.on_sync_reply(1, /*tag=*/6, 8, 80, dur));  // stale
-  EXPECT_FALSE(rep.on_sync_reply(5, 7, 8, 80, dur));   // not a replica
-  EXPECT_FALSE(rep.on_sync_reply(-1, 7, 8, 80, dur));  // not a replica
-  EXPECT_FALSE(rep.on_sync_reply(0, 7, 8, 80, dur));   // itself
+  EXPECT_FALSE(sync_reply(rep, dur, 1, /*tag=*/6, 8, 80));  // stale
+  EXPECT_FALSE(sync_reply(rep, dur, 5, 7, 8, 80));   // not a replica
+  EXPECT_FALSE(sync_reply(rep, dur, -1, 7, 8, 80));  // not a replica
+  EXPECT_FALSE(sync_reply(rep, dur, 0, 7, 8, 80));   // itself
   EXPECT_TRUE(log.empty());  // none of them was adopted
   EXPECT_EQ(rep.ts(), 0u);
-  EXPECT_FALSE(rep.on_sync_reply(1, 7, 3, 30, dur));
-  EXPECT_FALSE(rep.on_sync_reply(1, 7, 3, 30, dur));  // same peer again
-  EXPECT_FALSE(rep.serving());
-  EXPECT_TRUE(rep.on_sync_reply(2, 7, 2, 20, dur));  // self + 2 peers
-  EXPECT_TRUE(rep.serving());
+  EXPECT_FALSE(sync_reply(rep, dur, 1, 7, 3, 30));
+  EXPECT_FALSE(sync_reply(rep, dur, 1, 7, 3, 30));  // same peer again
+  EXPECT_TRUE(sync_reply(rep, dur, 2, 7, 2, 20));   // self + 2 peers
   EXPECT_EQ(rep.ts(), 3u);  // the newest state any peer reported
   EXPECT_EQ(dur.ts(), 3u);  // and it is stable
   // Once serving, further replies of the round change nothing.
-  EXPECT_FALSE(rep.on_sync_reply(3, 7, 9, 90, dur));
+  EXPECT_TRUE(sync_reply(rep, dur, 3, 7, 9, 90));
   EXPECT_EQ(rep.ts(), 3u);
 }
 
@@ -127,11 +209,11 @@ TEST(AbdReplicaTest, ANewRoundForgetsThePeersOfTheLastOne) {
   LogDurable dur{&log};
   Replica rep(0, 2, 0);
   rep.rejoin(1, dur);
-  EXPECT_FALSE(rep.on_sync_reply(1, 1, 0, 0, dur));
+  EXPECT_FALSE(sync_reply(rep, dur, 1, 1, 0, 0));
   rep.rejoin(2, dur);
-  EXPECT_FALSE(rep.on_sync_reply(2, 1, 0, 0, dur));  // round 1 is stale
-  EXPECT_FALSE(rep.on_sync_reply(1, 2, 0, 0, dur));
-  EXPECT_TRUE(rep.on_sync_reply(3, 2, 0, 0, dur));
+  EXPECT_FALSE(sync_reply(rep, dur, 2, 1, 0, 0));  // round 1 is stale
+  EXPECT_FALSE(sync_reply(rep, dur, 1, 2, 0, 0));
+  EXPECT_TRUE(sync_reply(rep, dur, 3, 2, 0, 0));
 }
 
 TEST(QuorumCollectorTest, KeepsTheFirstReplyPerReplicaOfThisPhase) {
@@ -194,12 +276,12 @@ struct ScriptLink {
   std::deque<Step>* steps;
   std::uint64_t op = 0;  // of the last broadcast
 
-  void broadcast(Phase& /*phase*/, std::uint64_t op_id,
-                 const std::optional<Stamped<std::uint64_t>>& store) {
-    op = op_id;
-    log->push_back((store ? "store " + std::to_string(store->ts) + " "
-                          : std::string("query ")) +
-                   "op=" + std::to_string(op_id));
+  void broadcast(Phase& /*phase*/, const Msg& request) {
+    op = request.op;
+    log->push_back((request.kind == AbdKind::kStore
+                        ? "store " + std::to_string(request.ts) + " "
+                        : std::string("query ")) +
+                   "op=" + std::to_string(op));
   }
   bool await(Phase& phase, std::uint64_t budget) {
     log->push_back("wait " + std::to_string(budget));

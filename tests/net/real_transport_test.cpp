@@ -63,6 +63,28 @@ TEST(WireTest, FrameRoundTrip) {
   ASSERT_TRUE(decode_payload(bytes.data() + kFrameHeaderBytes, kWireMsgBytes,
                              out));
   EXPECT_EQ(out, in);
+
+  // The six protocol kinds, byte for byte: the type byte is the core's
+  // AbdKind value, then src, op, ts and val, each little-endian.
+  for (std::uint8_t kind = 1; kind <= 6; ++kind) {
+    const AbdMsg<std::uint64_t> m{static_cast<AbdKind>(kind),
+                                  0x0102030405060708ull,
+                                  0x1112131415161718ull,
+                                  0x2122232425262728ull};
+    std::vector<unsigned char> frame;
+    append_frame(frame, to_wire(/*src=*/0x0a0b0c0d, m));
+    const std::vector<unsigned char> want = {
+        29,   0,    0,    0,    kind, 0x0d, 0x0c, 0x0b, 0x0a, 0x08, 0x07,
+        0x06, 0x05, 0x04, 0x03, 0x02, 0x01, 0x18, 0x17, 0x16, 0x15, 0x14,
+        0x13, 0x12, 0x11, 0x28, 0x27, 0x26, 0x25, 0x24, 0x23, 0x22, 0x21};
+    EXPECT_EQ(frame, want) << "kind " << int{kind};
+    ASSERT_TRUE(decode_payload(frame.data() + kFrameHeaderBytes,
+                               kWireMsgBytes, out));
+    EXPECT_EQ(to_abd(out).kind, m.kind);
+    EXPECT_EQ(to_abd(out).op, m.op);
+    EXPECT_EQ(to_abd(out).ts, m.ts);
+    EXPECT_EQ(to_abd(out).val, m.val);
+  }
 }
 
 TEST(WireTest, DecodeRejectsBadSizeAndType) {

@@ -120,41 +120,12 @@ TEST(HazardCellTest, ManyWritesWithIdleReaders) {
   EXPECT_EQ(cell.node_count(), 2u);
 }
 
-// Sticky pins, deterministically: a read leaves its node pinned, so the
-// writer never recycles it however many writes follow; a repeat read
-// with no write in between lands on the same node; read_unpin releases
-// the pin and the writer then reuses the node.
-TEST(HazardCellTest, KeepReadPinsNodeUntilUnpinningRead) {
-  using Vec = std::vector<int>;
-  HazardCell<Vec> cell(1, Vec(16, 0));
-  auto address = [](const Vec& v) { return &v; };
-  const Vec* pinned = cell.read(0, address);
-  EXPECT_EQ(cell.read(0, address), pinned) << "repeat read moved nodes";
-  for (int i = 1; i <= 100; ++i) cell.write(Vec(16, i));
-  // Reading *pinned outside a read is legal only in a single-threaded
-  // test: the pin is what keeps the writer off it.
-  EXPECT_EQ(*pinned, Vec(16, 0)) << "pinned node recycled";
-  EXPECT_EQ(cell.node_count(), 3u);
-
-  const Vec* current = cell.read(0, address);
-  EXPECT_NE(current, pinned);
-  EXPECT_EQ(*current, Vec(16, 100));
-  EXPECT_EQ(cell.read_unpin(0, address), current);
-  // Unpinned: the next write finds the free list empty, and its scan
-  // frees the old pin and the node retired before `current`. The free
-  // list is LIFO and the old pin was retired first, so it is the node
-  // this very write takes.
-  cell.write(Vec(16, 101));
-  EXPECT_EQ(*pinned, Vec(16, 101)) << "unpinned node never recycled";
-  EXPECT_EQ(cell.node_count(), 3u);
-  EXPECT_EQ(cell.read(0), Vec(16, 101));
-}
-
-// The batched scan: only a write that finds the free list empty scans
-// the hazard slots. Once the pool has grown to readers+2 nodes and the
-// readers are idle, each scan frees readers+1 nodes, so N writes make
-// at most ceil(N / (readers+1)) + 1 scans, not N.
-TEST(HazardCellTest, IdleReadersScanOncePerReadersPlusOneWrites) {
+// The batched scan over kept pins: only a write that finds the free
+// list empty scans the hazard slots, and a scan keeps only the retired
+// nodes some slot holds. Once the pool has grown to readers+2 nodes and
+// the idle readers' pins all sit on one node, each scan frees `readers`
+// nodes, so N writes make at most ceil(N / readers) + 1 scans, not N.
+TEST(HazardCellTest, IdleReadersScanOncePerReadersWritesWhenPinsAgree) {
   constexpr int kReaders = 3;
   constexpr std::uint64_t kPool = kReaders + 2;
   HazardCell<int> cell(kReaders, 0);
@@ -167,24 +138,30 @@ TEST(HazardCellTest, IdleReadersScanOncePerReadersPlusOneWrites) {
   }
   cell.write(next++);
   ASSERT_EQ(cell.node_count(), kPool);
-  for (int j = 0; j < kReaders; ++j) (void)cell.read_unpin(j, address);
+  // Every reader reads once more and goes idle: all three pins move to
+  // the node current now, and they keep it from recycling.
+  const int* shared = cell.read(0, address);
+  for (int j = 1; j < kReaders; ++j) ASSERT_EQ(cell.read(j, address), shared);
 
   constexpr std::uint64_t kWrites = 1000;
   const std::uint64_t before = cell.hazard_scans();
   for (std::uint64_t i = 0; i < kWrites; ++i) cell.write(next++);
   const std::uint64_t scans = cell.hazard_scans() - before;
-  EXPECT_LE(scans, (kWrites + kReaders) / (kReaders + 1) + 1)
+  EXPECT_LE(scans, (kWrites + kReaders - 1) / kReaders + 1)
       << "the writer scans more often than its free list runs dry";
   EXPECT_EQ(cell.node_count(), kPool);
+  // Reading *shared outside a read is legal only in a single-threaded
+  // test: the pins are what keep the writer off it.
+  EXPECT_EQ(*shared, next - 1 - static_cast<int>(kWrites))
+      << "pinned node recycled";
   EXPECT_EQ(cell.read(0), next - 1);
 }
 
 // Node recycling under concurrency: the writer copy-assigns each new
 // vector (all words equal, length tied to the word) into a recycled
-// node while three readers read it every way: read(j), a keep-read
-// read(j, f) and an unpinning read_unpin(j, f), so pins are both kept
-// across reads and dropped. A node recycled under a reader would show
-// up as a mixed, mis-sized, changing or backwards value.
+// node while three readers read it both ways, read(j) and read(j, f),
+// keeping their pins across reads. A node recycled under a reader would
+// show up as a mixed, mis-sized, changing or backwards value.
 TEST(HazardCellTest, RecycledVectorsNeverTornOrStale) {
   constexpr int kReaders = 3;
   constexpr std::uint64_t kWrites = 50000;
@@ -213,7 +190,7 @@ TEST(HazardCellTest, RecycledVectorsNeverTornOrStale) {
       std::uint64_t last = 0;
       for (std::uint64_t n = 0; !stop.load(); ++n) {
         std::uint64_t seen;
-        if (n % 3 == 0) {
+        if (n % 2 == 0) {
           const std::vector<std::uint64_t> v = cell.read(j);
           ASSERT_TRUE(intact(v)) << "read(j) saw a torn vector";
           seen = v[0];
@@ -228,11 +205,8 @@ TEST(HazardCellTest, RecycledVectorsNeverTornOrStale) {
             }
             return std::pair<bool, std::uint64_t>{same, w};
           };
-          const bool unpin = n % 3 == 2;
-          const auto [ok, first] =
-              unpin ? cell.read_unpin(j, check) : cell.read(j, check);
-          ASSERT_TRUE(ok) << (unpin ? "read_unpin(j, f)" : "read(j, f)")
-                          << " saw a torn vector";
+          const auto [ok, first] = cell.read(j, check);
+          ASSERT_TRUE(ok) << "read(j, f) saw a torn vector";
           seen = first;
         }
         ASSERT_GE(seen, last) << "reader " << j << " went backwards";
