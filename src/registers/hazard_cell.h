@@ -22,27 +22,32 @@
 // read. A pin is never cleared: it only keeps the writer off that node.
 //
 // The cell makes one allocation, at construction: a block holding the
-// readers' hazard slots and room for readers+2 nodes, each slot and
-// each node on cache lines of its own. Only the initial node is built
-// then; a write builds the next node in place when it needs one, so
-// construction touches no more memory than it uses and no write
-// allocates a node. Nodes are recycled, not freed. A write takes a node
-// from its private free list and copy-assigns into it (reusing, e.g.,
-// the capacity of the payload's vectors). Only a write that finds the
-// free list empty scans the hazard slots: the scan moves every retired
-// node no slot holds to the free list, and the write builds a fresh
-// node only if the scan freed nothing. With the pool grown and slots
-// pinning k distinct retired nodes, one scan refills the list for the
-// next readers+1-k writes (Michael's amortized scan, IEEE TPDS 2004):
-// idle readers whose last reads saw the same node make the writer read
-// their slot lines once per `readers` writes, not once per write.
-// At most readers+2 nodes are ever built: a scan that frees nothing
-// leaves at most `readers` retired nodes (each held by a slot), plus
-// the current node, plus the one built. So pins kept across reads,
-// however old, cost no allocation. The writer is wait-free: at most one
-// hazard scan of bounded length per write.
+// readers' hazard slots, a slab of 2*readers+2 nodes and the writer's
+// bookkeeping, each slot and each node on cache lines of its own. Only
+// the initial node is built then; the slab fills first, one node per
+// write, so construction touches no more memory than it uses and no
+// write allocates a node. A node holds only its value: the free stack,
+// the retired list and the scan's marks are arrays of node indices
+// after the slab, on lines no reader loads, so a write stores nothing
+// into a line an adopting reader is about to read.
+//
+// Nodes are recycled, not freed. A write takes a node from the free
+// stack and copy-assigns into it (reusing, e.g., the capacity of the
+// payload's vectors); with the stack empty it builds the next slab
+// node; only with the slab full does it scan the hazard slots. The scan
+// reads each slot once and marks the index of the node it names, then
+// splits the retired indices into kept (marked) and free: O(readers +
+// retired) work that dereferences no node. A scan on a full slab finds
+// 2*readers+1 retired nodes, at most `readers` of them pinned, so it
+// frees at least readers+1 and the next readers+1 writes do not scan:
+// N writes make at most ceil(N / (readers+1)) + 1 scans, whatever the
+// readers pin (Michael's amortized scan, IEEE TPDS 2004). So pins kept
+// across reads, however old, cost no allocation, and the writer reads
+// the readers' slot lines at most once per readers+1 writes. The writer
+// is wait-free: at most one hazard scan of bounded length per write.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -65,24 +70,30 @@ class HazardCell {
              std::uint64_t payload_bits = sizeof(T) * 8)
       : readers_(readers), access_(label, sched::Discipline::kSwmr, readers) {
     COMPREG_CHECK(readers >= 1);
-    // One plain allocation, aligned by hand: the slots, then the node
-    // slab, both in whole cache lines. Left uninitialised: only the
-    // slots and node 0 are built now.
+    // One plain allocation, aligned by hand: the slots, the node slab
+    // and the writer's index arrays, each starting on a cache line.
+    // Left uninitialised: only the slots and node 0 are built now.
     const std::size_t slots = static_cast<std::size_t>(readers);
     const std::size_t bytes = slots * sizeof(HazardSlot) +
-                              capacity() * sizeof(Node);
+                              capacity() * sizeof(Node) +
+                              capacity() * (2 * sizeof(Index) + 1);
     std::size_t space = bytes + kLine - 1;
     block_.reset(::operator new(space));
     void* start = block_.get();
     hazards_ = static_cast<HazardSlot*>(std::align(kLine, bytes, start, space));
     std::uninitialized_default_construct_n(hazards_, slots);
     slab_ = reinterpret_cast<std::byte*>(hazards_ + slots);
+    free_ = reinterpret_cast<Index*>(slab_ + capacity() * sizeof(Node));
+    retired_ = free_ + capacity();
+    marks_ = reinterpret_cast<unsigned char*>(retired_ + capacity());
+    std::uninitialized_default_construct_n(free_, 2 * capacity());
+    std::uninitialized_default_construct_n(marks_, capacity());
     current_.store(build(std::move(initial)), std::memory_order_relaxed);
     account_register(label, payload_bits, readers);
   }
 
   ~HazardCell() {
-    for (std::uint64_t i = 0; i < nodes_; ++i) node_at(i)->~Node();
+    for (Index i = 0; i < nodes_; ++i) node_at(i)->~Node();
   }
 
   HazardCell(const HazardCell&) = delete;
@@ -91,12 +102,13 @@ class HazardCell {
   int readers() const { return readers_; }
 
   // Nodes built so far (current + retired + free); never exceeds
-  // readers+2. Writer-side: call from the writer or after it is joined.
+  // 2*readers+2, and reaches it only after 2*readers+1 writes.
+  // Writer-side: call from the writer or after it is joined.
   std::uint64_t node_count() const { return nodes_; }
 
-  // Hazard scans so far: one per write that found the free list empty;
-  // with idle readers at most one per readers+1 writes once the pool is
-  // warm. Writer-side: call from the writer or after it is joined.
+  // Hazard scans so far: one per write that found the free stack empty
+  // and the slab full; at most one per readers+1 writes, whatever the
+  // readers pin. Writer-side: call from the writer or after it is joined.
   std::uint64_t hazard_scans() const { return scans_; }
 
   // reader_id in [0, readers): each concurrent reader must use a
@@ -141,39 +153,35 @@ class HazardCell {
   void write(const T& value) {
     sched::point(access_.write());
     ++op_counters().reg_writes;
-    if (free_ == nullptr) reclaim();
-    Node* node = free_;
-    if (node != nullptr) {
-      // A free-list node is neither current nor protected by any slot
+    if (free_count_ == 0 && nodes_ == capacity()) reclaim();
+    Node* node;
+    if (free_count_ != 0) {
+      // A free node is neither current nor protected by any slot
       // (reclaim() saw no slot holding it after it was retired), so
       // no reader can dereference it: a reader that still holds its
       // address in a slot has not validated it, and validation only
       // succeeds once the exchange below publishes it again, after this
       // assignment. This is the hazard argument that already covers
       // malloc handing a freed address back to `new`.
-      free_ = node->next;
+      node = node_at(free_[--free_count_]);
       node->value = value;
     } else {
-      // The scan freed nothing, so every retired node is held by a slot:
-      // at most readers_ retired nodes plus the current one are built,
-      // and the slab has room for this one.
+      // Free stack empty and slab not yet full: build the next node.
       node = build(value);
     }
-    Node* old = current_.exchange(node, std::memory_order_seq_cst);
-    old->next = retired_;
-    retired_ = old;
-    ++retired_count_;
+    const Node* old = current_.exchange(node, std::memory_order_seq_cst);
+    retired_[retired_count_++] = index_of(old);
   }
 
  private:
   static constexpr std::size_t kLine = 64;
+  using Index = std::uint32_t;
 
   // Line-aligned, so a reader's fields (a Y[0] record's item, wc and
-  // seq[j]) share the node's first line.
+  // seq[j]) share the node's first line. The value is all a node holds:
+  // the writer keeps its bookkeeping in the index arrays.
   struct alignas(kLine) Node {
     T value;
-    Node* next = nullptr;  // retired/free list link, writer-private
-    bool held = false;     // reclaim() scratch mark, writer-private
   };
   struct alignas(kLine) HazardSlot {
     std::atomic<Node*> ptr{nullptr};
@@ -182,12 +190,19 @@ class HazardCell {
     void operator()(void* block) const { ::operator delete(block); }
   };
 
-  std::size_t capacity() const {
-    return static_cast<std::size_t>(readers_) + 2;
+  // readers+1 free nodes per scan: at most `readers` of the other
+  // 2*readers+1 nodes are pinned when the slab is full.
+  Index capacity() const { return 2 * static_cast<Index>(readers_) + 2; }
+
+  Node* node_at(Index i) const {
+    return std::launder(reinterpret_cast<Node*>(slab_ + i * sizeof(Node)));
   }
 
-  Node* node_at(std::uint64_t i) const {
-    return std::launder(reinterpret_cast<Node*>(slab_ + i * sizeof(Node)));
+  // A node's slab index. Pointer arithmetic only: the node is not
+  // dereferenced.
+  Index index_of(const Node* node) const {
+    return static_cast<Index>(
+        (reinterpret_cast<const std::byte*>(node) - slab_) / sizeof(Node));
   }
 
   // Builds the next slab node in place. Writer-private (and the
@@ -195,7 +210,8 @@ class HazardCell {
   // fixed buffer.
   template <typename U>
   Node* build(U&& value) {
-    COMPREG_CHECK(nodes_ < capacity(), "HazardCell slab holds readers+2 nodes");
+    COMPREG_CHECK(nodes_ < capacity(),
+                  "HazardCell slab holds 2*readers+2 nodes");
     Node* node = ::new (slab_ + nodes_ * sizeof(Node))
         Node{std::forward<U>(value)};
     ++nodes_;
@@ -203,39 +219,34 @@ class HazardCell {
   }
 
   void reclaim() {
-    // Writer-private, and run by a write only on an empty free list.
-    // Keep the retired nodes some reader protects; move the rest to the
-    // free list. Each slot is read once and marks at most one node, so
-    // at most readers_ nodes stay retired afterwards. Every retired node
-    // left current_ in an earlier write's exchange, so the scan runs
-    // after its retirement, as the hazard argument needs.
+    // Writer-private, and run by a write only with the free stack empty
+    // and the slab full. Keep the retired nodes some reader protects;
+    // move the rest to the free stack. Each slot is read once and marks
+    // at most one node, so at most readers_ nodes stay retired and at
+    // least readers_+1 of the 2*readers_+1 retired nodes are freed.
+    // Every retired node left current_ in an earlier write's exchange,
+    // so the scan runs after its retirement, as the hazard argument
+    // needs. Only indices and marks are touched, never a node.
     // audit: exempt(schedpoint, reclamation, not communication - see below)
     // The hazard scan's outcome decides which retired nodes are recycled
     // but never any value a process observes: readers publish only to
     // their own slot, and the caller (write) has already announced its
     // labeled point.
     ++scans_;
+    std::fill_n(marks_, capacity(), 0);
     for (int j = 0; j < readers_; ++j) {
       const Node* hazard = hazards_[static_cast<std::size_t>(j)].ptr.load(
           std::memory_order_seq_cst);
-      Node* node = retired_;
-      for (std::size_t i = 0; i < retired_count_; ++i, node = node->next) {
-        if (node == hazard) node->held = true;
-      }
+      if (hazard != nullptr) marks_[index_of(hazard)] = 1;
     }
-    Node* node = std::exchange(retired_, nullptr);
-    const std::size_t count = std::exchange(retired_count_, 0);
-    for (std::size_t i = 0; i < count; ++i) {
-      Node* next = node->next;
-      if (std::exchange(node->held, false)) {
-        node->next = retired_;
-        retired_ = node;
-        ++retired_count_;
+    const Index count = std::exchange(retired_count_, 0);
+    for (Index i = 0; i < count; ++i) {
+      const Index index = retired_[i];
+      if (marks_[index] != 0) {
+        retired_[retired_count_++] = index;
       } else {
-        node->next = free_;
-        free_ = node;
+        free_[free_count_++] = index;
       }
-      node = next;
     }
   }
 
@@ -248,13 +259,15 @@ class HazardCell {
   // Every read loads the members above; every write stores into the
   // ones below. The pad keeps the two off one cache line.
   char pad_[64];
-  // Writer-private: retired nodes (replaced, maybe still protected),
-  // free nodes (unprotected, ready for reuse), the built-node count and
-  // the scan count.
-  Node* retired_ = nullptr;
-  std::size_t retired_count_ = 0;
-  Node* free_ = nullptr;
-  std::uint64_t nodes_ = 0;
+  // Writer-private: the free stack and the retired list (node indices,
+  // capacity() each, after the slab), the scan's per-node marks, the
+  // built-node count and the scan count.
+  Index* free_ = nullptr;
+  Index* retired_ = nullptr;
+  unsigned char* marks_ = nullptr;
+  Index free_count_ = 0;
+  Index retired_count_ = 0;
+  Index nodes_ = 0;
   std::uint64_t scans_ = 0;
 };
 

@@ -44,6 +44,11 @@ struct SigHash {
 
 int dpor_worker_id() { return t_dpor_worker; }
 
+int dpor_workers(int jobs) {
+  const int cpus = static_cast<int>(allowed_cpus().size());
+  return cpus == 0 ? jobs : std::min(jobs, cpus);
+}
+
 std::vector<int> canonical_schedule(const std::vector<int>& trace,
                                     const SymmetrySpec& sym) {
   if (!sym.active()) return trace;
@@ -254,15 +259,20 @@ class Engine {
 
   // --- worker pool ---
 
+  // Each worker pins itself to its own allowed CPU, so a worker's
+  // lockstep handoffs (SimScheduler::run pins the process threads to the
+  // worker's CPU) never share a CPU with another worker's.
   void run_wave(std::vector<std::unique_ptr<Task>>& wave) {
     const int workers = std::max(
-        1, std::min(opts_.jobs, static_cast<int>(wave.size())));
+        1, std::min(dpor_workers(opts_.jobs), static_cast<int>(wave.size())));
     if (workers == 1) {
       for (auto& t : wave) run_one(*t, 0);
       return;
     }
     std::atomic<std::size_t> cursor{0};
     auto drain = [&](int worker) {
+      const auto w = static_cast<std::size_t>(worker);
+      const CpuPin pin(w < cpus_.size() ? cpus_[w] : -1);
       for (;;) {
         const std::size_t i = cursor.fetch_add(1);
         if (i >= wave.size()) return;
@@ -844,6 +854,7 @@ class Engine {
   std::mutex tee_mu_;
   std::vector<AccessObserver*> tees_;
   std::vector<char> tee_made_;
+  const std::vector<int> cpus_ = allowed_cpus();
 };
 
 }  // namespace

@@ -110,6 +110,11 @@ std::vector<int> canonical_schedule(const std::vector<int>& trace,
 // scenario callback and verifier during explore_dpor; 0 outside.
 int dpor_worker_id();
 
+// The worker count explore_dpor runs for `jobs`: at most one worker per
+// CPU the calling thread may run on, since each worker pins itself to a
+// CPU of its own.
+int dpor_workers(int jobs);
+
 struct DporOptions {
   std::uint64_t max_schedules = 1'000'000;
   // Branch (insert backtrack points) only at trace positions < bound;
@@ -128,8 +133,9 @@ struct DporOptions {
   // subtree). Same certified claim as plain DPOR — one representative
   // per class. Always on when symmetry is active.
   bool class_covering = false;
-  // Worker threads running executions concurrently. Exploration results
-  // are independent of this value — it only buys wall-clock.
+  // Worker threads running executions concurrently, capped at
+  // dpor_workers(jobs). Exploration results are independent of this
+  // value — it only buys wall-clock.
   int jobs = 1;
   // Executions dispatched per wave. A wave is the unit of parallelism
   // AND of determinism: results are integrated in canonical order at

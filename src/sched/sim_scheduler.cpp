@@ -1,10 +1,38 @@
 #include "sched/sim_scheduler.h"
 
+#include <pthread.h>
+
 #include <sstream>
 
 #include "util/assert.h"
 
 namespace compreg::sched {
+
+std::vector<int> allowed_cpus() {
+  std::vector<int> cpus;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+  }
+  return cpus;
+}
+
+CpuPin::CpuPin(int cpu) {
+  CPU_ZERO(&saved_);
+  if (cpu < 0 || cpu >= CPU_SETSIZE) return;
+  const pthread_t self = pthread_self();
+  if (pthread_getaffinity_np(self, sizeof(saved_), &saved_) != 0) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  pinned_ = pthread_setaffinity_np(self, sizeof(one), &one) == 0;
+}
+
+CpuPin::~CpuPin() {
+  if (pinned_) pthread_setaffinity_np(pthread_self(), sizeof(saved_), &saved_);
+}
 
 SimScheduler::~SimScheduler() {
   for (Proc& proc : procs_) {
@@ -74,6 +102,8 @@ void SimScheduler::yield_turn(int proc_id) {
 void SimScheduler::run() {
   COMPREG_CHECK(!ran_, "run() called twice");
   ran_ = true;
+  // Before the threads start, so they inherit the pin.
+  const CpuPin pin(sched_getcpu());
 
   for (std::size_t i = 0; i < procs_.size(); ++i) {
     procs_[i].thread = std::thread(&SimScheduler::proc_main, this,

@@ -9,7 +9,15 @@
 //
 // Processes must synchronize only through the library's registers; any
 // other blocking inside a process body would deadlock the lockstep.
+//
+// Only one thread of a run is ever runnable, so run() pins the caller
+// and every process thread to the CPU the caller is on when it starts:
+// each step's two semaphore handoffs then wake a thread on the same
+// CPU instead of sending a wake-up across CPUs. The caller's own mask
+// is restored when run() returns.
 #pragma once
+
+#include <sched.h>
 
 #include <cstdint>
 #include <deque>
@@ -24,6 +32,26 @@
 #include "sched/schedule_point.h"
 
 namespace compreg::sched {
+
+// The CPUs the calling thread may run on (sched_getaffinity), ascending.
+std::vector<int> allowed_cpus();
+
+// Pins the calling thread to `cpu` for this object's lifetime, then
+// restores the thread's previous mask. Threads started meanwhile
+// inherit the pin. A negative cpu, or a pin the system refuses, leaves
+// the mask alone.
+class CpuPin {
+ public:
+  explicit CpuPin(int cpu);
+  ~CpuPin();
+
+  CpuPin(const CpuPin&) = delete;
+  CpuPin& operator=(const CpuPin&) = delete;
+
+ private:
+  cpu_set_t saved_;
+  bool pinned_ = false;
+};
 
 // A process body let a non-ProcessParked exception escape. The
 // scheduler absorbs it on the process thread (so the lockstep keeps

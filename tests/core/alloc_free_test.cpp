@@ -109,7 +109,8 @@ TEST_P(AllocFreeTest, SteadyStateScansAndUpdatesDoNotAllocate) {
 
   // Warm-up: one scan per reader slot sizes every level's collect
   // buffers; one update per component warms every Writer 0's snapshot
-  // buffer and fills every HazardCell's free list.
+  // buffer (a HazardCell builds its nodes in the block its constructor
+  // allocated, so its writes never allocate).
   std::vector<Item<std::uint64_t>> out;
   for (int j = 0; j < kReaders; ++j) reg.scan_items(j, out);
   for (int k = 0; k < c; ++k) reg.update(k, 1);
@@ -149,10 +150,11 @@ TEST_P(AllocFreeTest, SteadyStateScansAndUpdatesDoNotAllocate) {
 INSTANTIATE_TEST_SUITE_P(Components, AllocFreeTest,
                          ::testing::Values(2, 3, 4, 5, 6));
 
-// The pool must grow to readers+2 nodes when every reader parks inside
-// a visitor on a different node: the nested holds of
-// HazardCellTest.PoolNeverExceedsReadersPlusTwo. The cell builds those
-// nodes in the block its constructor allocated, so no write allocates.
+// The pool fills its slab of 2*readers+2 nodes while every reader parks
+// inside a visitor on a different node: the nested holds of
+// HazardCellTest.PoolNeverExceedsTwiceReadersPlusTwo. The cell builds
+// those nodes in the block its constructor allocated, so no write
+// allocates.
 TEST(HazardCellAllocTest, WritesNeverAllocate) {
   using Cell = registers::HazardCell<std::uint64_t>;
   const std::uint64_t before_ctor = allocs();
@@ -183,7 +185,7 @@ TEST(HazardCellAllocTest, WritesNeverAllocate) {
   const std::uint64_t function_allocs = allocs() - before_writes;
   hold(0);
   write_some(100);
-  EXPECT_EQ(cell.node_count(), static_cast<std::uint64_t>(kReaders) + 2);
+  EXPECT_EQ(cell.node_count(), 2u * kReaders + 2);
   EXPECT_EQ(allocs() - before_writes, function_allocs)
       << "allocations over " << next - 1 << " writes";
   EXPECT_EQ(cell.read(0), next - 1);

@@ -107,37 +107,62 @@ TEST(HazardCellTest, AtomicityUnderStress) {
   EXPECT_TRUE(result.ok) << result.violation;
 }
 
-// Reclamation boundedness: after many writes with idle readers, the
-// cell holds only the current node and the one being recycled.
+// Reclamation boundedness: idle readers pin nothing, so the pool stops
+// at the slab's 2*readers+2 nodes and every scan frees all
+// 2*readers+1 retired ones.
 TEST(HazardCellTest, ManyWritesWithIdleReaders) {
-  HazardCell<std::vector<int>> cell(4, std::vector<int>(100, 7));
-  for (int i = 0; i < 100000; ++i) {
-    cell.write(std::vector<int>(100, i));
+  constexpr int kReaders = 4;
+  constexpr std::uint64_t kWrites = 100000;
+  HazardCell<std::vector<int>> cell(kReaders, std::vector<int>(100, 7));
+  for (std::uint64_t i = 0; i < kWrites; ++i) {
+    cell.write(std::vector<int>(100, static_cast<int>(i)));
   }
-  EXPECT_EQ(cell.node_count(), 2u);
+  EXPECT_EQ(cell.node_count(), 2u * kReaders + 2);
+  EXPECT_LE(cell.hazard_scans(), kWrites / (2 * kReaders + 1) + 1);
   const std::vector<int> v = cell.read(0);
   EXPECT_EQ(v[0], 99999);
-  EXPECT_EQ(cell.node_count(), 2u);
+  EXPECT_EQ(cell.node_count(), 2u * kReaders + 2);
+}
+
+// The slab fills first: the first 2*readers+1 writes each build a node
+// and none scans; the next write finds the slab full and scans once.
+TEST(HazardCellTest, IdleReadersFillTheSlabBeforeTheFirstScan) {
+  constexpr int kReaders = 4;
+  constexpr std::uint64_t kPool = 2 * kReaders + 2;
+  HazardCell<std::vector<int>> cell(kReaders, std::vector<int>(8, 0));
+  for (std::uint64_t i = 1; i < kPool; ++i) {
+    cell.write(std::vector<int>(8, static_cast<int>(i)));
+    EXPECT_EQ(cell.node_count(), i + 1);
+    EXPECT_EQ(cell.hazard_scans(), 0u);
+  }
+  cell.write(std::vector<int>(8, static_cast<int>(kPool)));
+  EXPECT_EQ(cell.hazard_scans(), 1u);
+  for (int i = static_cast<int>(kPool) + 1; i <= 1000; ++i) {
+    cell.write(std::vector<int>(8, i));
+  }
+  EXPECT_EQ(cell.node_count(), kPool);
+  EXPECT_EQ(cell.read(3), std::vector<int>(8, 1000));
 }
 
 // The batched scan over kept pins: only a write that finds the free
-// list empty scans the hazard slots, and a scan keeps only the retired
-// nodes some slot holds. Once the pool has grown to readers+2 nodes and
-// the idle readers' pins all sit on one node, each scan frees `readers`
-// nodes, so N writes make at most ceil(N / readers) + 1 scans, not N.
-TEST(HazardCellTest, IdleReadersScanOncePerReadersWritesWhenPinsAgree) {
+// stack empty and the slab full scans the hazard slots, and a scan
+// keeps only the retired nodes some slot holds. With the slab full and
+// the idle readers' pins all on one node, each scan frees 2*readers of
+// the 2*readers+1 retired nodes, so N writes make at most
+// ceil(N / (2*readers)) + 1 scans.
+TEST(HazardCellTest, IdleReadersScanOncePerTwiceReadersWritesWhenPinsAgree) {
   constexpr int kReaders = 3;
-  constexpr std::uint64_t kPool = kReaders + 2;
+  constexpr std::uint64_t kPool = 2 * kReaders + 2;
   HazardCell<int> cell(kReaders, 0);
   auto address = [](const int& v) { return &v; };
-  // Pin a different node in every slot: the pool grows to readers+2.
+  // Pin a different node in every slot, then fill the slab.
   int next = 1;
   for (int j = 0; j < kReaders; ++j) {
     (void)cell.read(j, address);
     cell.write(next++);
   }
-  cell.write(next++);
-  ASSERT_EQ(cell.node_count(), kPool);
+  while (cell.node_count() < kPool) cell.write(next++);
+  ASSERT_EQ(cell.hazard_scans(), 0u);
   // Every reader reads once more and goes idle: all three pins move to
   // the node current now, and they keep it from recycling.
   const int* shared = cell.read(0, address);
@@ -147,14 +172,56 @@ TEST(HazardCellTest, IdleReadersScanOncePerReadersWritesWhenPinsAgree) {
   const std::uint64_t before = cell.hazard_scans();
   for (std::uint64_t i = 0; i < kWrites; ++i) cell.write(next++);
   const std::uint64_t scans = cell.hazard_scans() - before;
-  EXPECT_LE(scans, (kWrites + kReaders - 1) / kReaders + 1)
-      << "the writer scans more often than its free list runs dry";
+  EXPECT_LE(scans, (kWrites + 2 * kReaders - 1) / (2 * kReaders) + 1)
+      << "the writer scans more often than its free stack runs dry";
   EXPECT_EQ(cell.node_count(), kPool);
   // Reading *shared outside a read is legal only in a single-threaded
   // test: the pins are what keep the writer off it.
   EXPECT_EQ(*shared, next - 1 - static_cast<int>(kWrites))
       << "pinned node recycled";
   EXPECT_EQ(cell.read(0), next - 1);
+}
+
+// The scan bound whatever the readers pin: every slot pins a different
+// retired node (the nested holds below), so a scan on the full slab
+// keeps `readers` of its 2*readers+1 retired nodes and frees
+// readers+1. N writes then make at most ceil(N / (readers+1)) + 1
+// scans, the pool is exactly 2*readers+2 nodes, and no held node is
+// recycled.
+TEST(HazardCellTest, DistinctPinsScanOncePerReadersPlusOneWrites) {
+  constexpr int kReaders = 3;
+  constexpr std::uint64_t kWrites = 1000;
+  HazardCell<std::vector<int>> cell(kReaders, std::vector<int>(16, 0));
+  int next = 1;
+  auto write_some = [&](std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i, ++next) {
+      cell.write(std::vector<int>(16, next));
+    }
+  };
+  std::uint64_t scans = 0;
+  // A visitor that writes is legal only in a test: the cell runs `f`
+  // inside the read, while the reader's hazard slot pins the node.
+  std::function<void(int)> hold = [&](int j) {
+    cell.read(j, [&](const std::vector<int>& held) {
+      const std::vector<int> copy = held;
+      write_some(1);
+      if (j + 1 < kReaders) {
+        hold(j + 1);
+      } else {
+        const std::uint64_t before = cell.hazard_scans();
+        write_some(kWrites);
+        scans = cell.hazard_scans() - before;
+        EXPECT_EQ(cell.node_count(), 2u * kReaders + 2);
+      }
+      EXPECT_EQ(held, copy) << "node held by reader " << j << " recycled";
+      return 0;
+    });
+  };
+  hold(0);
+  EXPECT_GE(scans, 1u);
+  EXPECT_LE(scans, (kWrites + kReaders) / (kReaders + 1) + 1)
+      << "a scan freed fewer than readers+1 nodes";
+  EXPECT_EQ(cell.read(0), std::vector<int>(16, next - 1));
 }
 
 // Node recycling under concurrency: the writer copy-assigns each new
@@ -216,14 +283,15 @@ TEST(HazardCellTest, RecycledVectorsNeverTornOrStale) {
   }
   writer.join();
   for (auto& t : readers) t.join();
-  EXPECT_LE(cell.node_count(), static_cast<std::uint64_t>(kReaders) + 2);
+  // The slab fills first, whatever the readers do.
+  EXPECT_EQ(cell.node_count(), 2u * kReaders + 2);
 }
 
 // Pool bound, deterministically: every reader parks inside a visitor on
 // a different node while the writer keeps writing. The writer must
-// stop allocating at readers+2 nodes and must never recycle a node a
+// stop building nodes at 2*readers+2 and must never recycle a node a
 // reader still holds.
-TEST(HazardCellTest, PoolNeverExceedsReadersPlusTwo) {
+TEST(HazardCellTest, PoolNeverExceedsTwiceReadersPlusTwo) {
   constexpr int kReaders = 3;
   HazardCell<std::vector<int>> cell(kReaders, std::vector<int>(16, 0));
   int next = 1;
@@ -244,8 +312,7 @@ TEST(HazardCellTest, PoolNeverExceedsReadersPlusTwo) {
         hold(j + 1);
       } else {
         write_some(100);
-        EXPECT_EQ(cell.node_count(),
-                  static_cast<std::uint64_t>(kReaders) + 2);
+        EXPECT_EQ(cell.node_count(), 2u * kReaders + 2);
       }
       EXPECT_EQ(held, copy) << "node held by reader " << j << " recycled";
       return 0;
@@ -253,15 +320,8 @@ TEST(HazardCellTest, PoolNeverExceedsReadersPlusTwo) {
   };
   hold(0);
   write_some(100);
-  EXPECT_EQ(cell.node_count(), static_cast<std::uint64_t>(kReaders) + 2);
+  EXPECT_EQ(cell.node_count(), 2u * kReaders + 2);
   EXPECT_EQ(cell.read(0), std::vector<int>(16, next - 1));
-}
-
-TEST(HazardCellTest, IdleReadersKeepTwoNodes) {
-  HazardCell<std::vector<int>> cell(4, std::vector<int>(8, 0));
-  for (int i = 1; i <= 1000; ++i) cell.write(std::vector<int>(8, i));
-  EXPECT_EQ(cell.node_count(), 2u);
-  EXPECT_EQ(cell.read(3), std::vector<int>(8, 1000));
 }
 
 TEST(HazardCellTest, ReaderSlotsAreIndependent) {

@@ -15,6 +15,15 @@ namespace {
 // Two processes taking `steps` labeled points each on DISJOINT cells:
 // every pair of cross-process steps commutes, so one schedule covers
 // the whole space (the naive enumerator would run C(2*steps, steps)).
+// One worker per CPU at most: each worker pins itself to its own.
+TEST(DporTest, WorkersAreCappedAtTheAllowedCpus) {
+  const int cpus = static_cast<int>(allowed_cpus().size());
+  ASSERT_GE(cpus, 1);
+  EXPECT_EQ(dpor_workers(1), 1);
+  EXPECT_EQ(dpor_workers(cpus), cpus);
+  EXPECT_EQ(dpor_workers(cpus + 7), cpus);
+}
+
 TEST(DporTest, DisjointCellsCollapseToOneSchedule) {
   DporScenario scenario = [](SimScheduler& sim) {
     auto a = std::make_shared<AccessLabel>("dpor.a", Discipline::kSwmr, 1);

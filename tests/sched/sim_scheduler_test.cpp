@@ -1,6 +1,7 @@
 #include "sched/sim_scheduler.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <stdexcept>
 #include <string>
@@ -26,6 +27,36 @@ TEST(SimSchedulerTest, OneGrantPerSharedAccess) {
   sim.run();
   EXPECT_EQ(sim.steps(), 3u);
   EXPECT_EQ(sim.trace(), (std::vector<int>{0, 0, 0}));
+}
+
+// run() pins every process thread to the CPU the caller was on, and
+// gives the caller its own mask back when it returns.
+TEST(SimSchedulerTest, RunPinsItsProcessesToOneCpuAndRestoresTheCaller) {
+  const std::vector<int> before = allowed_cpus();
+  ASSERT_FALSE(before.empty());
+  RoundRobinPolicy policy;
+  SimScheduler sim(policy);
+  registers::WordRegister<int> reg(0);
+  std::vector<std::vector<int>> seen(2);
+  for (int p = 0; p < 2; ++p) {
+    sim.spawn([&, p] {
+      reg.write(p);
+      seen[static_cast<std::size_t>(p)] = allowed_cpus();
+    });
+  }
+  sim.run();
+  ASSERT_EQ(seen[0].size(), 1u);
+  EXPECT_EQ(seen[1], seen[0]) << "processes pinned to different CPUs";
+  EXPECT_EQ(allowed_cpus(), before) << "caller's mask not restored";
+}
+
+TEST(SimSchedulerTest, CpuPinOfANegativeCpuLeavesTheMaskAlone) {
+  const std::vector<int> before = allowed_cpus();
+  {
+    const CpuPin pin(-1);
+    EXPECT_EQ(allowed_cpus(), before);
+  }
+  EXPECT_EQ(allowed_cpus(), before);
 }
 
 TEST(SimSchedulerTest, ProcessWithNoSharedAccessCompletes) {

@@ -2,8 +2,9 @@
 """Validate BENCH_*.json files against the shared schema wrapper.
 
 Every bench emitter (bench_net, bench_dpor, bench_waitfreedom,
-bench_throughput, and compreg_loadgen's BENCH_server.json and
-BENCH_transport.json) writes the same envelope:
+bench_throughput, compreg_loadgen's BENCH_server.json and
+BENCH_transport.json, and tools/perf_pairs.py's paired perfbench rows)
+writes the same envelope:
 
     {"schema_version": 1, "bench": "<name>", "rows": [ {...}, ... ]}
 
@@ -41,6 +42,12 @@ REQUIRED_COLUMNS = {
         "experiment", "kind", "clients", "ops", "throughput_ops_per_s",
         "p50_us", "p99_us", "p999_us", "unavailable_rate", "busy",
         "timeouts", "batch_occupancy_mean", "kills",
+    },
+    "perf_pairs": {
+        "experiment", "workload", "metric", "better", "pairs", "seconds",
+        "first_seed", "base_median", "base_q1", "base_q3", "change_median",
+        "change_q1", "change_q3", "wins", "gain", "base_failed_ops",
+        "change_failed_ops",
     },
     "server_telemetry": {"experiment", "kind", "name"},
     "throughput": {

@@ -59,7 +59,8 @@
 // unreduced and fails loudly if the two engines disagree on the
 // verdict (tests/analysis/symmetry_cross_test.cpp proves identical
 // violation sets on seeded mutants). --jobs N runs executions on N
-// worker threads; exploration is deterministic by construction, so
+// worker threads, each pinned to its own CPU (N is capped at the CPUs
+// the process may use); exploration is deterministic by construction, so
 // every statistic, banner and witness is byte-identical across --jobs
 // values, and --certificate FILE writes a timing-free certificate whose
 // bytes the suite diffs across --jobs 1/8. --schedule "0,1,1,0,..."
@@ -342,6 +343,8 @@ void validate(Options& o) {
   }
   if (o.components == 0) o.components = o.sampling() ? 3 : 2;
   if (o.ops == 0) o.ops = o.sampling() ? 10 : 1;
+  // Each DPOR worker pins itself to a CPU of its own.
+  o.jobs = sched::dpor_workers(o.jobs);
   if (o.watchdog < 0) o.watchdog = o.sampling() ? 30 : 120;
   if (o.impl != "mw" && o.impl != "net" && !make_impl(o.impl, 1, 1)) {
     usage_error("unknown impl '%s'", o.impl.c_str());
