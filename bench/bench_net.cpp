@@ -22,7 +22,6 @@
 
 #include "core/composite_register.h"
 #include "lin/workload.h"
-#include "net/net_cell.h"
 #include "net/replicated_register.h"
 #include "sched/policy.h"
 #include "util/bench_json.h"
@@ -133,7 +132,7 @@ void bench_composite(int f, unsigned loss, unsigned cycles, int ops_each) {
   // Top-level snapshot operations (update/scan), the unit a user pays.
   const std::uint64_t ops = static_cast<std::uint64_t>(2 * ops_each) +
                             static_cast<std::uint64_t>(2 * ops_each);
-  record("composite", f, loss, cycles, ops, fab.fabric().net().stats(), ms);
+  record("composite", f, loss, cycles, ops, fab.net().stats(), ms);
 }
 
 }  // namespace

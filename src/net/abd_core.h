@@ -44,11 +44,15 @@
 //                   catching-up replicas cannot vouch for each other.
 //
 // Client rules (AbdClient, over a QuorumCollector): a phase broadcasts
-// and waits for f+1 distinct replies; after a failed wait it backs off
+// and takes receive steps until f+1 distinct replicas reply or the
+// wait's budget is spent; a reply counts only with the phase's reply
+// kind and op id, once per replica. After a failed wait it backs off
 // and re-broadcasts under the same op id, so late replies still count.
 // After max_attempts failed waits the operation is Unavailable, never a
 // hang. So is a read whose write-back is: its value is not known to
-// rest on a majority, and a later read could return an older one.
+// rest on a majority, and a later read could return an older one. The
+// single writer's timestamps come from one sequence (write_next),
+// started at a known timestamp or seeded from one read quorum.
 //
 // Bounds: 1 <= f <= kMaxF. A catch-up round records the peers it heard
 // from in a 64-bit mask, so all 2f+1 replica ids must fit in it.
@@ -221,17 +225,25 @@ class QuorumCollector {
 
   int replicas() const { return 2 * f_ + 1; }
 
-  // Starts a phase: forgets every reply and returns the phase's op id,
-  // which its requests carry and its replies echo.
-  std::uint64_t begin() {
+  // Starts a phase of `request`: forgets every reply and returns the
+  // phase's op id, which its requests carry and its replies echo.
+  std::uint64_t begin(AbdKind request) {
+    want_ = reply_kind(request);
     heard_ = 0;
     choice_.write_back = false;
     return ++op_;
   }
 
-  // One reply. Returns false if it is not part of this phase (another
-  // op id, or a sender that is not a replica). Only the first reply
-  // from each replica counts.
+  // The reply rule both links hand every reply to: the phase's reply
+  // kind, then offer(). False if the reply is not part of this phase.
+  bool take(int replica, const AbdMsg<T>& reply) {
+    return reply.kind == want_ &&
+           offer(replica, reply.op, reply.ts, reply.val);
+  }
+
+  // One reply of the phase's kind. Returns false if it is not part of
+  // this phase (another op id, or a sender that is not a replica). Only
+  // the first reply from each replica counts.
   bool offer(int replica, std::uint64_t op, std::uint64_t ts, const T& val) {
     if (op != op_ || replica < 0 || replica >= replicas()) return false;
     const std::uint64_t bit = std::uint64_t{1} << replica;
@@ -255,6 +267,7 @@ class QuorumCollector {
 
  private:
   int f_;
+  AbdKind want_ = AbdKind::kQueryReply;  // the phase's reply kind
   std::uint64_t op_ = 0;
   std::uint64_t heard_ = 0;  // replicas that replied in this phase
   ReadChoice<T> choice_;
@@ -280,13 +293,23 @@ struct RetryBudget {
 
 // A client's link to the replicas, in its own unit of time.
 // broadcast(phase, request) sends the phase's STORE or QUERY to every
-// replica; replies go to phase.offer(). await(phase, budget) waits up
-// to `budget` for phase.quorum() and returns it.
+// replica. receive(wait, phase) takes one step of a wait (an L::Wait
+// made from its budget): what it receives goes to phase.take(), and it
+// returns false once the budget is spent.
 template <typename L, typename T>
-concept AbdLink = requires(L& link, QuorumCollector<T>& phase,
-                           std::uint64_t n, const AbdMsg<T>& request) {
-  link.broadcast(phase, request);
-  { link.await(phase, n) } -> std::same_as<bool>;
+concept AbdLink =
+    std::constructible_from<typename L::Wait, std::uint64_t> &&
+    requires(L& link, QuorumCollector<T>& phase, typename L::Wait& wait,
+             const AbdMsg<T>& request) {
+      link.broadcast(phase, request);
+      { link.receive(wait, phase) } -> std::same_as<bool>;
+    };
+
+// ts == 0: no timestamp handed out, nothing sent. !ok with a ts:
+// Unavailable, and the write may still take effect under that ts.
+struct WriteResult {
+  std::uint64_t ts = 0;
+  bool ok = false;
 };
 
 // One client role (a writer, or one reader) over `Link`.
@@ -305,7 +328,25 @@ class AbdClient {
         stats_(stats),
         link_(std::move(link)) {}
 
-  // False means Unavailable: the write may still take effect later.
+  // The sole writer of a register whose latest timestamp is `ts` (0 for
+  // a fresh one) starts its sequence there. Any other writer seeds it.
+  void start_at(std::uint64_t ts) { sequence_ = ts; }
+
+  // `v` under the writer's next timestamp. An unseeded writer first
+  // reads and goes on one past the read's ts; until a read succeeds it
+  // hands out nothing.
+  WriteResult write_next(const T& v) {
+    if (!sequence_) {
+      const std::optional<Stamped<T>> seed = read();
+      if (!seed) return WriteResult{};
+      sequence_ = seed->ts;
+    }
+    const std::uint64_t ts = ++*sequence_;
+    return WriteResult{ts, write(ts, v)};
+  }
+
+  // A write under the caller's timestamp. False means Unavailable: the
+  // write may still take effect later.
   bool write(std::uint64_t ts, const T& v) {
     ++stats_.writes;
     return quorum_phase(AbdMsg<T>{AbdKind::kStore, 0, ts, v});
@@ -332,18 +373,30 @@ class AbdClient {
   // still takes replies: a late quorum ends it early.
   bool quorum_phase(AbdMsg<T> request) {
     ++stats_.phases;
-    request.op = phase_.begin();
+    request.op = phase_.begin(request.kind);
     for (unsigned attempt = 0; attempt < budget_.max_attempts; ++attempt) {
       if (attempt > 0) ++stats_.retries;
       link_.broadcast(phase_, request);
-      if (link_.await(phase_, budget_.attempt)) return true;
+      if (await(budget_.attempt)) return true;
       if (attempt + 1 == budget_.max_attempts) break;
       const std::uint64_t window = backoff_window(
           budget_.backoff_base, budget_.backoff_cap, attempt, jitter_);
-      if (link_.await(phase_, window)) return true;
+      if (await(window)) return true;
     }
     ++stats_.unavailable;
     return false;
+  }
+
+  // Receive steps until the quorum forms or `budget` is spent. The first
+  // step precedes the check: the simulator may deliver replies between
+  // the broadcast's sends, and a wait still takes a step then.
+  bool await(std::uint64_t budget) {
+    typename Link::Wait wait(budget);
+    // audit: exempt(waitfree, bounded by the wait's budget - every receive step spends it, one SimNet poll per unit or the socket link's deadline, and the step reports it spent)
+    do {
+      if (!link_.receive(wait, phase_)) return false;
+    } while (!phase_.quorum());
+    return true;
   }
 
   QuorumCollector<T> phase_;
@@ -351,6 +404,7 @@ class AbdClient {
   Rng jitter_;
   ClientStats& stats_;
   Link link_;
+  std::optional<std::uint64_t> sequence_;  // last ts handed out, if seeded
 };
 
 }  // namespace compreg::net

@@ -16,27 +16,22 @@ RealAbdClient::RealAbdClient(Transport& net, const RealClientConfig& cfg,
 void RealAbdClient::SocketLink::broadcast(
     QuorumCollector<std::uint64_t>& phase,
     const AbdMsg<std::uint64_t>& request) {
-  want = static_cast<MsgType>(reply_kind(request.kind));
   const WireMsg m =
       to_wire(static_cast<std::uint32_t>(owner->net_.self()), request);
   for (int r = 0; r < phase.replicas(); ++r) owner->net_.send(r, m);
 }
 
-bool RealAbdClient::SocketLink::await(QuorumCollector<std::uint64_t>& phase,
-                                      std::uint64_t ms) {
-  const Deadline deadline = Deadline::after(std::chrono::milliseconds(ms));
-  while (!phase.quorum()) {
-    const std::optional<Delivery> d = owner->net_.poll(deadline);
-    if (!d) return false;
-    const WireMsg& m = d->msg;
-    if (m.type != want) continue;  // stray
-    if (phase.offer(d->src, m.op, m.ts, m.val) &&
-        m.type == MsgType::kStoreAck && owner->ack_hook_) {
-      const auto t = std::chrono::steady_clock::now() - owner->epoch_;
-      owner->ack_hook_(
-          d->src, m.ts,
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t).count());
-    }
+bool RealAbdClient::SocketLink::receive(Wait& wait,
+                                        QuorumCollector<std::uint64_t>& phase) {
+  const std::optional<Delivery> d = owner->net_.poll(wait.deadline);
+  if (!d) return false;
+  const AbdMsg<std::uint64_t> m = to_abd(d->msg);
+  if (phase.take(d->src, m) && m.kind == AbdKind::kStoreAck &&
+      owner->ack_hook_) {
+    const auto t = std::chrono::steady_clock::now() - owner->epoch_;
+    owner->ack_hook_(
+        d->src, m.ts,
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t).count());
   }
   return true;
 }

@@ -1,12 +1,14 @@
 // Socket ABD client: the AbdClient of net/abd_core.h over a Transport.
-// Its link sends one WireMsg per replica and drains the transport until
-// the phase has its quorum or the wait's deadline passes. Budgets are
+// Its link only moves messages: it sends one WireMsg per replica, and
+// each receive step takes one frame from the transport, up to the
+// wait's deadline, and hands it to the core's reply rule. Budgets are
 // milliseconds: RealClientConfig::attempt_timeout per attempt, backoff
 // windows from kBackoffBaseMs up to kBackoffCapMs plus jitter.
 //
-// The caller owns the single writer's timestamp sequence
-// (next_write_ts()). The ack hook reports every STORE ack (replica id,
-// acked ts, receive time) for the harness's durability auditor.
+// The single writer's timestamp sequence is the core's (write_next);
+// try_write stores under a caller-chosen timestamp. The ack hook reports
+// every STORE ack (replica id, acked ts, receive time) for the harness's
+// durability auditor.
 #pragma once
 
 #include <chrono>
@@ -50,12 +52,17 @@ class RealAbdClient {
   RealAbdClient(const RealAbdClient&) = delete;
   RealAbdClient& operator=(const RealAbdClient&) = delete;
 
-  // SWMR write with a caller-chosen timestamp (use next_write_ts() for
-  // the canonical sequence). Returns false on Unavailable; the write may
-  // still take effect (record it pending).
+  // SWMR write with a caller-chosen timestamp. Returns false on
+  // Unavailable; the write may still take effect (record it pending).
   bool try_write(std::uint64_t ts, std::uint64_t val) {
     return client_.write(ts, val);
   }
+
+  // The single writer's sequence (AbdClient::write_next): start_at(ts)
+  // for the sole writer of a fleet whose latest timestamp is `ts`;
+  // without it, the first write_next seeds from a read quorum.
+  void start_at(std::uint64_t ts) { client_.start_at(ts); }
+  WriteResult write_next(std::uint64_t val) { return client_.write_next(val); }
 
   // ABD read; result.ok == false means Unavailable.
   RealReadResult try_read() {
@@ -63,24 +70,26 @@ class RealAbdClient {
     return got ? RealReadResult{true, got->ts, got->val} : RealReadResult{};
   }
 
-  std::uint64_t next_write_ts() { return ++write_ts_; }
-
   void set_ack_hook(AckHook hook) { ack_hook_ = std::move(hook); }
   const RealClientStats& stats() const { return stats_; }
 
  private:
   struct SocketLink {
     RealAbdClient* owner;
-    MsgType want = MsgType::kQueryReply;  // the current phase's replies
+
+    struct Wait {
+      explicit Wait(std::uint64_t ms)
+          : deadline(Deadline::after(std::chrono::milliseconds(ms))) {}
+      Deadline deadline;
+    };
 
     void broadcast(QuorumCollector<std::uint64_t>& phase,
                    const AbdMsg<std::uint64_t>& request);
-    bool await(QuorumCollector<std::uint64_t>& phase, std::uint64_t ms);
+    bool receive(Wait& wait, QuorumCollector<std::uint64_t>& phase);
   };
 
   Transport& net_;
   std::chrono::steady_clock::time_point epoch_;
-  std::uint64_t write_ts_ = 0;
   RealClientStats stats_;
   AckHook ack_hook_;
   AbdClient<std::uint64_t, SocketLink> client_;

@@ -19,6 +19,21 @@
 // and checkers treat a quorum-starved process like a crash-stopped one,
 // and record its interrupted operation as pending.
 //
+// CompositeRegister builds its base registers with the fixed Cell
+// signature (readers, initial, label, payload_bits), so the network
+// context is ambient: install a ScopedNetFabric, then build the
+// register inside its scope. Every cell the construction allocates
+// (all the Y[0] records of the recursion and all the mod-3 Z registers)
+// becomes its own ReplicatedRegister whose 2f+1 replica copies live on
+// the fabric's shared replica nodes: one simulated server process per
+// node hosting all cells, which is exactly what a NetFaultPlan
+// partition or replica crash then takes out wholesale.
+//
+//   net::NetConfig cfg;                  // f, amnesia
+//   net::ScopedNetFabric fab(cfg, plan, seed);
+//   core::CompositeRegister<std::uint64_t, net::NetCell, net::NetCell>
+//       snap(components, readers, 0);
+//
 // SIMULATOR-ONLY for concurrent use (the replica state and SimNet
 // queue are plain fields serialized by the lockstep); single-threaded
 // use works anywhere, which the unit tests rely on.
@@ -64,18 +79,50 @@ enum class Amnesia : std::uint8_t {
 };
 
 // The simulated client's timing, in network polls (= schedule points
-// while waiting).
+// while waiting), and its retry budget.
 inline constexpr unsigned kAttemptPolls = 24;     // one attempt's wait
 inline constexpr unsigned kBackoffBasePolls = 2;  // doubles per attempt
 inline constexpr unsigned kBackoffCapPolls = 32;  // bound on one window
+inline constexpr unsigned kMaxAttempts = 5;  // per phase, first included
+inline constexpr std::uint64_t kJitterSeed = 0x9e7c0ffeeull;
 
 struct NetConfig {
-  int f = 1;                  // crash tolerance; replicas = 2f + 1
-  unsigned max_attempts = 5;  // per quorum phase (first try included)
-  std::uint64_t jitter_seed = 0x9e7c0ffeeull;
+  int f = 1;                         // crash tolerance; replicas = 2f + 1
   Amnesia amnesia = Amnesia::kNone;  // certification-only seeded fault
 
   int replicas() const { return 2 * f + 1; }
+};
+
+// One SimNet plus the NetConfig that every cell on it shares, installed
+// as the ambient fabric for its lifetime: the cell constructor attaches
+// to the innermost one. Thread-local, not process-global: a fabric is
+// installed around cell construction only, on the thread that owns the
+// scenario, so parallel DPOR workers can each install their own.
+class ScopedNetFabric {
+ public:
+  ScopedNetFabric(const NetConfig& cfg, NetFaultPlan plan, std::uint64_t seed)
+      : cfg_(cfg),
+        net_(cfg.replicas(), std::move(plan), seed),
+        prev_(current_) {
+    current_ = this;
+  }
+  ~ScopedNetFabric() { current_ = prev_; }
+
+  ScopedNetFabric(const ScopedNetFabric&) = delete;
+  ScopedNetFabric& operator=(const ScopedNetFabric&) = delete;
+
+  SimNet& net() { return net_; }
+  const NetConfig& cfg() const { return cfg_; }
+
+  // The innermost installed fabric, or nullptr.
+  static ScopedNetFabric* current() { return current_; }
+
+ private:
+  static inline thread_local ScopedNetFabric* current_ = nullptr;
+
+  NetConfig cfg_;
+  SimNet net_;
+  ScopedNetFabric* prev_;
 };
 
 template <typename T>
@@ -101,17 +148,24 @@ class ReplicatedRegister {
     }
     hook_token_ =
         net_.add_recover_hook([this](int node) { on_recover(node); });
-    const RetryBudget budget{cfg.max_attempts, kAttemptPolls,
-                             kBackoffBasePolls, kBackoffCapPolls};
+    const RetryBudget budget{kMaxAttempts, kAttemptPolls, kBackoffBasePolls,
+                             kBackoffCapPolls};
     for (int j = 0; j <= readers; ++j) {
       const int node = net_.new_client_node();
-      clients_.emplace_back(cfg.f, node, budget, cfg.jitter_seed,
+      clients_.emplace_back(cfg.f, node, budget, kJitterSeed,
                             net_.stats().client, SimLink{this, node});
     }
+    clients_.front().start_at(0);  // the sole writer of a fresh register
     // One logical MRSW register; physically 2f+1 replicated copies.
     account_register(label, payload_bits, readers,
                      static_cast<std::uint64_t>(cfg.replicas()));
   }
+
+  // The Cell signature, over the ambient fabric.
+  ReplicatedRegister(int readers, T initial, const char* label = "net_cell",
+                     std::uint64_t payload_bits = sizeof(T) * 8)
+      : ReplicatedRegister(ambient().net(), ambient().cfg(), readers,
+                           std::move(initial), label, payload_bits) {}
 
   ~ReplicatedRegister() { net_.remove_recover_hook(hook_token_); }
 
@@ -128,6 +182,10 @@ class ReplicatedRegister {
     if (!out) throw UnavailableError("read");
     return *std::move(out);
   }
+  template <typename F>
+  auto read(int reader_id, F&& f) {
+    return f(read(reader_id));
+  }
 
   // Graceful-degradation surface: false/nullopt means the retry budget
   // ran out without reaching a majority (Unavailable). A failed write
@@ -137,7 +195,7 @@ class ReplicatedRegister {
   bool try_write(const T& value) {
     sched::observe(access_.write());
     ++op_counters().reg_writes;
-    return clients_.front().write(++write_ts_, value);
+    return clients_.front().write_next(value).ok;
   }
 
   std::optional<T> try_read(int reader_id) {
@@ -169,9 +227,16 @@ class ReplicatedRegister {
   bool replica_serving(int r) const {
     return replicas_[static_cast<std::size_t>(r)].serving();
   }
-  std::uint64_t write_ts() const { return write_ts_; }
 
  private:
+  static ScopedNetFabric& ambient() {
+    ScopedNetFabric* fabric = ScopedNetFabric::current();
+    COMPREG_CHECK(fabric != nullptr,
+                  "NetCell built with no ambient fabric; wrap the "
+                  "construction in a net::ScopedNetFabric");
+    return *fabric;
+  }
+
   // The core's view of one replica's DurableRecord. `record` is null
   // only for a STORE under the kAckBeforePersist mutant: the persist
   // the core makes before that ack goes nowhere.
@@ -191,19 +256,24 @@ class ReplicatedRegister {
     ReplicatedRegister* reg;
     int node;
 
+    struct Wait {
+      explicit Wait(std::uint64_t budget) : polls(budget) {}
+      std::uint64_t polls;  // left in this wait
+    };
+
     void broadcast(QuorumCollector<T>& phase, const AbdMsg<T>& request) {
       for (int r = 0; r < reg->cfg_.replicas(); ++r) {
         reg->send(node, r, request, &phase);
       }
     }
 
-    // One poll per unit of budget.
-    bool await(QuorumCollector<T>& phase, std::uint64_t polls) {
-      for (std::uint64_t i = 0; i < polls; ++i) {
-        reg->net_.poll();
-        if (phase.quorum()) return true;
-      }
-      return false;
+    // One poll per unit of budget. The replies it delivers reach the
+    // collector from their delivery closures.
+    bool receive(Wait& wait, QuorumCollector<T>& /*phase*/) {
+      if (wait.polls == 0) return false;
+      --wait.polls;
+      reg->net_.poll();
+      return true;
     }
   };
 
@@ -223,7 +293,7 @@ class ReplicatedRegister {
   void deliver(int from, int to, const AbdMsg<T>& m,
                QuorumCollector<T>* phase) {
     if (to >= cfg_.replicas()) {
-      phase->offer(from, m.op, m.ts, m.val);
+      phase->take(from, m);
       return;
     }
     const auto r = static_cast<std::size_t>(to);
@@ -273,7 +343,11 @@ class ReplicatedRegister {
   std::uint64_t hook_token_ = 0;
   // The writer, then one client per reader slot.
   std::deque<AbdClient<T, SimLink>> clients_;
-  std::uint64_t write_ts_ = 0;
 };
+
+// The name under which the construction takes ReplicatedRegister as its
+// Cell: CompositeRegister<T, net::NetCell, net::NetCell>.
+template <typename T>
+using NetCell = ReplicatedRegister<T>;
 
 }  // namespace compreg::net

@@ -1,7 +1,6 @@
 #include "server/server.h"
 
 #include <chrono>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -13,6 +12,7 @@ namespace compreg::server {
 namespace {
 
 using compreg::net::Deadline;
+using compreg::net::WriteResult;
 using compreg::net::real::FaultyTransport;
 using compreg::net::real::RealAbdClient;
 using compreg::net::real::RealClientConfig;
@@ -86,18 +86,6 @@ void Server::write_worker_main() {
   RealAbdClient& client = link.client;
   Recorder* rec = registry_.attach();
   COMPREG_CHECK(rec != nullptr, "telemetry registry full");
-
-  // Seed the write-timestamp sequence from the fleet's current state so
-  // a server fronting a non-empty fleet continues the sequence instead
-  // of colliding with it (a fresh fleet answers ts=0). Until a seeding
-  // collect succeeds, every write retries it once: no write gets a
-  // timestamp from an unseeded sequence.
-  std::optional<std::uint64_t> last_ts;
-  const auto seed = [&] {
-    const auto r = client.try_read();
-    if (r.ok) last_ts = r.ts;
-  };
-  seed();
   RealClientStats last = client.stats();
 
   while (true) {
@@ -107,20 +95,15 @@ void Server::write_worker_main() {
       const Admitted& op = batch[i];
       rec->count(Counter::kWritesDequeued);
       rec->record(Histo::kQueueDepth, batch.size() - 1 - i);
-      if (!last_ts) seed();
-      // Unseeded: Unavailable with ts 0, never sent, so no effect. Sent
-      // but unacknowledged: Unavailable with its timestamp, because the
-      // value may yet take effect.
-      Completion c{op, Status::kUnavailable, 0, op.req.val};
-      if (last_ts) {
-        c.ts = ++*last_ts;
-        if (client.try_write(c.ts, op.req.val)) c.status = Status::kOk;
-      }
+      // The client seeds its sequence from the fleet (net/abd_core.h).
+      // ts 0: the seeding read failed and nothing was sent.
+      const WriteResult w = client.write_next(op.req.val);
       const RealClientStats& s = client.stats();
       rec->count(Counter::kRetries, s.retries - last.retries);
       rec->count(Counter::kQuorumRounds, s.phases - last.phases);
       last = s;
-      complete(c);
+      complete(Completion{op, w.ok ? Status::kOk : Status::kUnavailable,
+                          w.ts, op.req.val});
     }
   }
 }

@@ -15,14 +15,17 @@
 //
 //   write worker: owns a RealAbdClient against the 2f+1 fleet and is
 //     the SINGLE ABD WRITER — every client write is assigned the next
-//     timestamp of one monotone sequence (seeded from a fleet collect,
-//     so a server fronting a non-empty fleet continues, not restarts,
-//     the sequence) and performed one at a time, in arrival order.
-//     Timestamp order therefore IS the write serialization order, which
-//     is what the funneled atomicity checker (lin/register_checker.h)
-//     verifies against client-observed intervals. Until a seeding
-//     collect succeeds, each write retries it once and answers
-//     Unavailable with ts 0 (never sent, no effect) if it fails;
+//     timestamp of one monotone sequence and performed one at a time,
+//     in arrival order. Timestamp order therefore IS the write
+//     serialization order, which is what the funneled atomicity checker
+//     (lin/register_checker.h) verifies against client-observed
+//     intervals. The sequence and its seeding belong to the ABD core
+//     (AbdClient::write_next in net/abd_core.h): the client seeds it
+//     from a fleet read quorum, so a server fronting a non-empty fleet
+//     continues, not restarts, the sequence. Until a seeding read
+//     succeeds, each write retries it once and answers Unavailable with
+//     ts 0 (never sent, no effect) if it fails. The worker keeps only
+//     the batch handoff and its telemetry;
 //
 //   read worker: owns a second RealAbdClient and serves reads in
 //     batches — it swaps out the entire pending-read queue and answers

@@ -1,8 +1,9 @@
 // The sans-IO ABD core (net/abd_core.h) on its own: the replica's
 // dispatch against a fake stable storage that logs every call, the
-// quorum collector and the read rule, the client's retry loop and read
-// sequence over a scripted link, and the bounds on f. Both the SimNet
-// register and the socket register run exactly this code.
+// quorum collector, its reply rule and the read rule, the client's retry
+// loop, read sequence and writer timestamp sequence over scripted links,
+// and the bounds on f. Both the SimNet register and the socket register
+// run exactly this code.
 #include "net/abd_core.h"
 
 #include <gtest/gtest.h>
@@ -218,8 +219,8 @@ TEST(AbdReplicaTest, ANewRoundForgetsThePeersOfTheLastOne) {
 
 TEST(QuorumCollectorTest, KeepsTheFirstReplyPerReplicaOfThisPhase) {
   QuorumCollector<std::uint64_t> phase(/*f=*/2);
-  const std::uint64_t old_op = phase.begin();
-  const std::uint64_t op = phase.begin();
+  const std::uint64_t old_op = phase.begin(AbdKind::kQuery);
+  const std::uint64_t op = phase.begin(AbdKind::kQuery);
   EXPECT_NE(op, old_op);
   EXPECT_FALSE(phase.offer(0, old_op, 9, 90));  // another phase's reply
   EXPECT_FALSE(phase.offer(5, op, 9, 90));      // not a replica
@@ -233,9 +234,32 @@ TEST(QuorumCollectorTest, KeepsTheFirstReplyPerReplicaOfThisPhase) {
   EXPECT_FALSE(phase.read_choice().write_back);
 }
 
+TEST(QuorumCollectorTest, TakesOnlyThePhasesReplyKind) {
+  QuorumCollector<std::uint64_t> phase(/*f=*/1);
+  const std::uint64_t op = phase.begin(AbdKind::kQuery);
+  // This phase's op id, but not a QUERY_REPLY: none of them counts.
+  for (const AbdKind kind : {AbdKind::kStoreAck, AbdKind::kSyncReply,
+                             AbdKind::kQuery, AbdKind::kStore}) {
+    EXPECT_FALSE(phase.take(0, Msg{kind, op, 9, 90}))
+        << "kind " << static_cast<int>(kind);
+    EXPECT_FALSE(phase.take(1, Msg{kind, op, 9, 90}));
+  }
+  EXPECT_FALSE(phase.quorum());
+  EXPECT_TRUE(phase.take(0, Msg{AbdKind::kQueryReply, op, 1, 10}));
+  EXPECT_TRUE(phase.take(1, Msg{AbdKind::kQueryReply, op, 1, 10}));
+  ASSERT_TRUE(phase.quorum());
+  EXPECT_EQ(phase.read_choice().ts, 1u);  // the 9s never counted
+  // A STORE phase takes STORE_ACKs, and a QUERY_REPLY no longer.
+  const std::uint64_t store = phase.begin(AbdKind::kStore);
+  EXPECT_FALSE(phase.take(2, Msg{AbdKind::kQueryReply, store, 1, 10}));
+  EXPECT_TRUE(phase.take(2, Msg{AbdKind::kStoreAck, store, 1}));
+  EXPECT_FALSE(phase.take(0, Msg{AbdKind::kStoreAck, op, 1}));  // old op
+  EXPECT_FALSE(phase.quorum());
+}
+
 TEST(QuorumCollectorTest, NonUniformQuorumWritesBackTheMaximum) {
   QuorumCollector<std::uint64_t> phase(1);
-  const std::uint64_t op = phase.begin();
+  const std::uint64_t op = phase.begin(AbdKind::kQuery);
   phase.offer(2, op, 3, 30);
   phase.offer(0, op, 7, 70);
   ASSERT_TRUE(phase.quorum());
@@ -247,14 +271,14 @@ TEST(QuorumCollectorTest, NonUniformQuorumWritesBackTheMaximum) {
 
 TEST(QuorumCollectorTest, UniformQuorumSkipsWriteBackAndFirstMaxWins) {
   QuorumCollector<std::uint64_t> phase(1);
-  std::uint64_t op = phase.begin();
+  std::uint64_t op = phase.begin(AbdKind::kQuery);
   phase.offer(1, op, 4, 40);
   phase.offer(0, op, 4, 41);
   ReadChoice<std::uint64_t> choice = phase.read_choice();
   EXPECT_FALSE(choice.write_back);
   EXPECT_EQ(choice.val, 40u);
   // A new phase starts empty.
-  op = phase.begin();
+  op = phase.begin(AbdKind::kQuery);
   EXPECT_FALSE(phase.quorum());
   phase.offer(1, op, 2, 20);
   phase.offer(2, op, 6, 60);
@@ -264,32 +288,41 @@ TEST(QuorumCollectorTest, UniformQuorumSkipsWriteBackAndFirstMaxWins) {
   EXPECT_EQ(choice.val, 60u);
 }
 
-// A link whose replicas are a script. It logs every call; each await
-// runs the next scripted step, which may offer replies, and then
-// reports the quorum. Awaits alternate: an attempt's wait (budget 10),
-// then a backoff window.
+// A link whose replicas are a script. It logs every broadcast and every
+// wait; a wait's first receive step runs the next scripted step, which
+// may hand replies to the phase, and its second reports the budget
+// spent. Waits alternate: an attempt's wait (budget 10), then a backoff
+// window.
 using Phase = QuorumCollector<std::uint64_t>;
-using Step = std::function<void(Phase&, std::uint64_t op)>;
+using Step = std::function<void(Phase&, const Msg& request)>;
 
 struct ScriptLink {
   std::vector<std::string>* log;
   std::deque<Step>* steps;
-  std::uint64_t op = 0;  // of the last broadcast
+  Msg request;  // the last broadcast
 
-  void broadcast(Phase& /*phase*/, const Msg& request) {
-    op = request.op;
-    log->push_back((request.kind == AbdKind::kStore
-                        ? "store " + std::to_string(request.ts) + " "
+  struct Wait {
+    explicit Wait(std::uint64_t b) : budget(b) {}
+    std::uint64_t budget;
+    bool stepped = false;
+  };
+
+  void broadcast(Phase& /*phase*/, const Msg& m) {
+    request = m;
+    log->push_back((m.kind == AbdKind::kStore
+                        ? "store " + std::to_string(m.ts) + " "
                         : std::string("query ")) +
-                   "op=" + std::to_string(op));
+                   "op=" + std::to_string(m.op));
   }
-  bool await(Phase& phase, std::uint64_t budget) {
-    log->push_back("wait " + std::to_string(budget));
+  bool receive(Wait& wait, Phase& phase) {
+    if (wait.stepped) return false;
+    wait.stepped = true;
+    log->push_back("wait " + std::to_string(wait.budget));
     if (!steps->empty()) {
-      steps->front()(phase, op);
+      steps->front()(phase, request);
       steps->pop_front();
     }
-    return phase.quorum();
+    return true;
   }
 };
 
@@ -305,16 +338,25 @@ struct ScriptedClient {
   std::deque<Step> steps;
   ClientStats stats;
   AbdClient<std::uint64_t, ScriptLink> client{
-      /*f=*/1, kNode, kBudget, kSeed, stats, ScriptLink{&log, &steps}};
+      /*f=*/1, kNode, kBudget, kSeed, stats, ScriptLink{&log, &steps, {}}};
 };
 
+// Replica `replica`'s answer to the last request: (ts, val) for a
+// QUERY, an ack for a STORE.
 Step reply(int replica, std::uint64_t ts, std::uint64_t val) {
-  return [=](Phase& phase, std::uint64_t op) {
-    phase.offer(replica, op, ts, val);
+  return [=](Phase& phase, const Msg& request) {
+    phase.take(replica, Msg{reply_kind(request.kind), request.op, ts, val});
   };
 }
 
-const Step kSilence = [](Phase&, std::uint64_t) {};
+// Replies from every listed replica in one step.
+Step replies(std::vector<int> replicas, std::uint64_t ts, std::uint64_t val) {
+  return [=](Phase& phase, const Msg& request) {
+    for (const int r : replicas) reply(r, ts, val)(phase, request);
+  };
+}
+
+const Step kSilence = [](Phase&, const Msg&) {};
 
 TEST(AbdClientTest, UnavailableAfterExactlyMaxAttemptsOneDrawPerBackoff) {
   ScriptedClient c;
@@ -353,12 +395,26 @@ TEST(AbdClientTest, LateReplyToAnEarlierAttemptStillCounts) {
   EXPECT_EQ(c.stats.unavailable, 0u);
 }
 
+TEST(AbdClientTest, AReplyOfTheWrongKindIsNotCounted) {
+  ScriptedClient c;
+  // Two STORE_ACKs that carry the query's op id would make a quorum if
+  // they counted; the third step's QUERY_REPLYs do.
+  const Step acks = [](Phase& phase, const Msg& request) {
+    EXPECT_FALSE(phase.take(0, Msg{AbdKind::kStoreAck, request.op, 8}));
+    EXPECT_FALSE(phase.take(1, Msg{AbdKind::kStoreAck, request.op, 8}));
+  };
+  c.steps = {acks, kSilence, replies({1, 2}, 3, 30)};
+  const std::optional<Stamped<std::uint64_t>> got = c.client.read();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->ts, 3u);
+  EXPECT_EQ(got->val, 30u);
+  EXPECT_EQ(c.stats.retries, 1u);
+  EXPECT_EQ(c.stats.writeback_skips, 1u);  // only the two 3s counted
+}
+
 TEST(AbdClientTest, UniformQuorumSkipsTheWriteBack) {
   ScriptedClient c;
-  c.steps = {[](Phase& phase, std::uint64_t op) {
-    phase.offer(2, op, 5, 50);
-    phase.offer(0, op, 5, 50);
-  }};
+  c.steps = {replies({2, 0}, 5, 50)};
   const std::optional<Stamped<std::uint64_t>> got = c.client.read();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->ts, 5u);
@@ -371,14 +427,11 @@ TEST(AbdClientTest, UniformQuorumSkipsTheWriteBack) {
 
 TEST(AbdClientTest, DisagreeingQuorumWritesTheMaximumBack) {
   ScriptedClient c;
-  c.steps = {[](Phase& phase, std::uint64_t op) {
-               phase.offer(0, op, 3, 30);
-               phase.offer(1, op, 5, 50);
+  c.steps = {[](Phase& phase, const Msg& request) {
+               reply(0, 3, 30)(phase, request);
+               reply(1, 5, 50)(phase, request);
              },
-             [](Phase& phase, std::uint64_t op) {
-               phase.offer(1, op, 5, 0);
-               phase.offer(2, op, 5, 0);
-             }};
+             replies({1, 2}, 5, 0)};
   const std::optional<Stamped<std::uint64_t>> got = c.client.read();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->ts, 5u);
@@ -391,9 +444,9 @@ TEST(AbdClientTest, DisagreeingQuorumWritesTheMaximumBack) {
 
 TEST(AbdClientTest, FailedWriteBackMakesTheReadUnavailable) {
   ScriptedClient c;
-  c.steps = {[](Phase& phase, std::uint64_t op) {
-    phase.offer(0, op, 3, 30);
-    phase.offer(1, op, 5, 50);
+  c.steps = {[](Phase& phase, const Msg& request) {
+    reply(0, 3, 30)(phase, request);
+    reply(1, 5, 50)(phase, request);
   }};  // then no replica acknowledges the write-back
   EXPECT_EQ(c.client.read(), std::nullopt);
   EXPECT_EQ(c.log[2], "store 5 op=2");
@@ -410,6 +463,143 @@ TEST(AbdClientTest, WriteStoresTheCallersTimestamp) {
   EXPECT_TRUE(c.client.write(10, 100));
   EXPECT_EQ(c.stats.writes, 2u);
   EXPECT_EQ(c.stats.unavailable, 1u);
+}
+
+TEST(AbdWriterTest, AWriterStartedAtZeroHandsOutOneTwoThree) {
+  ScriptedClient c;
+  c.client.start_at(0);
+  for (std::uint64_t ts = 1; ts <= 3; ++ts) {
+    c.steps.push_back(replies({0, 1}, ts, 0));
+    const WriteResult w = c.client.write_next(ts * 10);
+    EXPECT_EQ(w.ts, ts);
+    EXPECT_TRUE(w.ok);
+  }
+  EXPECT_EQ(c.log, (std::vector<std::string>{"store 1 op=1", "wait 10",
+                                             "store 2 op=2", "wait 10",
+                                             "store 3 op=3", "wait 10"}));
+  EXPECT_EQ(c.stats.reads, 0u);  // a started writer never seeds
+}
+
+TEST(AbdWriterTest, AFailedWriteStillUsesItsTimestamp) {
+  ScriptedClient c;
+  c.client.start_at(0);
+  const WriteResult lost = c.client.write_next(10);  // nobody acks
+  EXPECT_EQ(lost.ts, 1u);
+  EXPECT_FALSE(lost.ok);
+  c.steps = {replies({0, 1}, 2, 0)};
+  const WriteResult next = c.client.write_next(20);
+  EXPECT_EQ(next.ts, 2u);  // ts 1 may still take effect: never reused
+  EXPECT_TRUE(next.ok);
+}
+
+TEST(AbdWriterTest, AnUnseededWriterHandsOutNothingUntilItsSeedingRead) {
+  ScriptedClient c;
+  // Every replica is silent: the seeding read is Unavailable.
+  const WriteResult none = c.client.write_next(10);
+  EXPECT_EQ(none.ts, 0u);
+  EXPECT_FALSE(none.ok);
+  EXPECT_EQ(c.stats.writes, 0u);
+  for (const std::string& line : c.log) {
+    EXPECT_EQ(line.rfind("store", 0), std::string::npos) << line;
+  }
+  // The next write seeds from a fresh register and uses ts 1: the
+  // failed seed used up no timestamp.
+  c.log.clear();
+  c.steps = {replies({0, 1}, 0, 0), replies({0, 2}, 1, 0)};
+  const WriteResult first = c.client.write_next(20);
+  EXPECT_EQ(first.ts, 1u);
+  EXPECT_TRUE(first.ok);
+  EXPECT_EQ(c.log, (std::vector<std::string>{"query op=2", "wait 10",
+                                             "store 1 op=3", "wait 10"}));
+}
+
+TEST(AbdWriterTest, ASeedingReadStartsOnePastTheQuorumsMaximum) {
+  ScriptedClient c;
+  c.steps = {[](Phase& phase, const Msg& request) {
+               reply(0, 4, 40)(phase, request);
+               reply(2, 7, 70)(phase, request);
+             },
+             replies({0, 2}, 7, 0),  // the read's write-back of ts 7
+             replies({1, 2}, 8, 0)};
+  const WriteResult w = c.client.write_next(80);
+  EXPECT_EQ(w.ts, 8u);
+  EXPECT_TRUE(w.ok);
+  EXPECT_EQ(c.log, (std::vector<std::string>{"query op=1", "wait 10",
+                                             "store 7 op=2", "wait 10",
+                                             "store 8 op=3", "wait 10"}));
+  EXPECT_EQ(c.client.write_next(90).ts, 9u);  // seeded once, then counts
+}
+
+// Three replicas behind a link that delivers each request only to the
+// replicas in `reach`, at once, and queues their replies for the
+// client's receive steps.
+struct Fleet {
+  std::vector<std::string> log;  // the stable storage's persists
+  std::vector<LogDurable> durable{LogDurable{&log}, LogDurable{&log},
+                                  LogDurable{&log}};
+  std::vector<Replica> replicas{Replica(0, 1, 0), Replica(1, 1, 0),
+                                Replica(2, 1, 0)};
+  std::vector<int> reach;
+};
+
+struct RouteLink {
+  Fleet* fleet;
+  std::deque<std::pair<int, Msg>> inbox;
+
+  struct Wait {
+    explicit Wait(std::uint64_t /*budget*/) {}
+  };
+
+  void broadcast(Phase& /*phase*/, const Msg& request) {
+    for (const int r : fleet->reach) {
+      const auto ri = static_cast<std::size_t>(r);
+      const Reply got =
+          fleet->replicas[ri].on_message(kClient, request, fleet->durable[ri]);
+      if (got) inbox.emplace_back(r, *got);
+    }
+  }
+  bool receive(Wait& /*wait*/, Phase& phase) {
+    if (inbox.empty()) return false;
+    phase.take(inbox.front().first, inbox.front().second);
+    inbox.pop_front();
+    return true;
+  }
+};
+
+static_assert(AbdLink<RouteLink, std::uint64_t>);
+
+// ROADMAP item 1, gap (b), pinned on the writer the server runs. This is
+// the known gap that item 1's fence must flip: once a restarted writer
+// cannot reuse a timestamp, the last two assertions must fail, and this
+// test is restated to expect one value per timestamp.
+//
+// Incarnation 1 started at ts 0 (a fresh fleet). Its STORE of ts 1
+// reaches replica 0 only, so the write ends Unavailable: replica 0
+// keeps (1, 10). Incarnation 2 seeds from a read quorum of replicas 1
+// and 2, which still hold ts 0, and writes another value under ts 1.
+TEST(AbdWriterTest, KnownGapARestartedWriterReusesAMinorityTimestamp) {
+  Fleet fleet;
+  ClientStats stats;
+  fleet.reach = {0};
+  AbdClient<std::uint64_t, RouteLink> first(1, kNode, kBudget, kSeed, stats,
+                                            RouteLink{&fleet, {}});
+  first.start_at(0);
+  const WriteResult lost = first.write_next(10);
+  EXPECT_EQ(lost.ts, 1u);
+  EXPECT_FALSE(lost.ok);
+
+  fleet.reach = {1, 2};
+  AbdClient<std::uint64_t, RouteLink> second(1, kNode, kBudget, kSeed, stats,
+                                             RouteLink{&fleet, {}});
+  const WriteResult w = second.write_next(20);
+  EXPECT_TRUE(w.ok);
+
+  // Two values under one timestamp: a read that hears replicas 0 and 1
+  // sees ts 1 on both, skips the write-back, and returns whichever
+  // replied first.
+  EXPECT_EQ(w.ts, 1u);
+  EXPECT_EQ(fleet.replicas[0].ts(), fleet.replicas[1].ts());
+  EXPECT_NE(fleet.replicas[0].value(), fleet.replicas[1].value());
 }
 
 TEST(AbdBoundsDeathTest, FOutsideOneTo31IsRejected) {

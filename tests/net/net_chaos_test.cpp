@@ -17,7 +17,7 @@
 #include "lin/stats.h"
 #include "lin/witness.h"
 #include "lin/workload.h"
-#include "net/net_cell.h"
+#include "net/replicated_register.h"
 #include "sched/access.h"
 #include "sched/policy.h"
 #include "util/rng.h"
@@ -50,9 +50,9 @@ SweepResult run_once(int components, int readers, int ops,
   wl.scans_per_reader = ops;
   SweepResult out;
   out.history = lin::run_sim_workload(snap, policy, wl);
-  out.stats = fab.fabric().net().stats();
-  out.pending = fab.fabric().net().pending();
-  out.durability_findings = fab.fabric().net().durable().report().findings.size();
+  out.stats = fab.net().stats();
+  out.pending = fab.net().pending();
+  out.durability_findings = fab.net().durable().report().findings.size();
   return out;
 }
 
@@ -67,8 +67,7 @@ void expect_stats_invariants(const SweepResult& run) {
             s.delivered + s.dropped_loss + s.dropped_partition +
                 s.dropped_crash + s.dropped_down + run.pending);
   // Each quorum phase retries at most max_attempts - 1 times.
-  const NetConfig defaults;
-  EXPECT_LE(s.client.retries, s.client.phases * (defaults.max_attempts - 1));
+  EXPECT_LE(s.client.retries, s.client.phases * (kMaxAttempts - 1));
   // Catch-up traffic only exists once some replica actually rejoined.
   if (s.replica_recoveries == 0) {
     EXPECT_EQ(s.catchup_msgs, 0u);

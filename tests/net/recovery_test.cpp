@@ -14,7 +14,6 @@
 
 #include "core/composite_register.h"
 #include "lin/workload.h"
-#include "net/net_cell.h"
 #include "net/replicated_register.h"
 #include "sched/dpor.h"
 
@@ -110,7 +109,7 @@ TEST(RecoveryTest, BoundedDporFlagsAckMutant) {
     wl.scans_per_reader = 1;
     auto rec = lin::spawn_sim_workload(sim, *ctx->snap, wl);
     return [ctx, rec, &flagged] {
-      if (!ctx->fab->fabric().net().durable().report().findings.empty()) {
+      if (!ctx->fab->net().durable().report().findings.empty()) {
         flagged = true;
       }
       return !flagged;  // stop at the first flagged execution

@@ -1,7 +1,7 @@
 // ReplicatedRegister (ABD over SimNet): sequential correctness, the
 // client robustness layer (retry under loss, bounded degradation to
 // Unavailable, crash tolerance up to f, idempotence under duplication),
-// and the NetCell adapter's conformance to the cell concepts.
+// and its conformance to the cell concepts under the NetCell name.
 #include "net/replicated_register.h"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "net/net_cell.h"
 #include "registers/register_concepts.h"
 #include "sched/schedule_point.h"
 #include "util/rng.h"
@@ -18,12 +17,8 @@
 namespace compreg::net {
 namespace {
 
-// The register and its Cell adapter satisfy the construction's concept
-// surface, so they drop straight under CompositeRegister.
-static_assert(
-    registers::MrswCell<ReplicatedRegister<std::uint64_t>, std::uint64_t>);
-static_assert(registers::FallibleMrswCell<ReplicatedRegister<std::uint64_t>,
-                                          std::uint64_t>);
+// The register satisfies the construction's concept surface, so it
+// drops straight under CompositeRegister as NetCell.
 static_assert(registers::MrswCell<NetCell<std::uint64_t>, std::uint64_t>);
 static_assert(
     registers::FallibleMrswCell<NetCell<std::uint64_t>, std::uint64_t>);
@@ -57,7 +52,6 @@ TEST(ReplicatedRegisterTest, SequentialWriteRead) {
     EXPECT_EQ(reg.read(0), v);
     EXPECT_EQ(reg.read(static_cast<int>(v) % 2), v);
   }
-  EXPECT_EQ(reg.write_ts(), 10u);
   // On a clean network every replica converges to the last write.
   for (int r = 0; r < cfg.replicas(); ++r) {
     EXPECT_EQ(reg.replica_ts(r), 10u);
@@ -129,8 +123,8 @@ TEST(ReplicatedRegisterTest, TotalLossDegradesToUnavailableBounded) {
   EXPECT_EQ(net.stats().client.unavailable, 2u);
   // Bounded: max_attempts timeouts plus capped backoff windows, per op.
   const std::uint64_t per_phase =
-      cfg.max_attempts * kAttemptPolls +
-      (cfg.max_attempts - 1) * (kBackoffCapPolls + kBackoffCapPolls / 2 + 1);
+      kMaxAttempts * kAttemptPolls +
+      (kMaxAttempts - 1) * (kBackoffCapPolls + kBackoffCapPolls / 2 + 1);
   EXPECT_LE(net.stats().polls, 2 * per_phase);
 }
 
@@ -223,7 +217,7 @@ TEST(ReplicatedRegisterTest, RejoinCatchUpRestoresState) {
   EXPECT_GT(net.stats().catchup_msgs, 0u);
   EXPECT_GT(net.durable().stats().reloads, 0u);
   EXPECT_TRUE(reg.replica_serving(2));
-  EXPECT_EQ(reg.replica_ts(2), reg.write_ts());
+  EXPECT_EQ(reg.replica_ts(2), 12u);  // the sole writer's 12th timestamp
   EXPECT_EQ(reg.replica_val(2), 12u);
   EXPECT_EQ(net.stats().client.unavailable, 0u);
   // A correct implementation never trips the durability auditor.
@@ -294,24 +288,23 @@ TEST(NetCellTest, RequiresAndUsesAmbientFabric) {
   EXPECT_EQ(cell.read(1), 11u);
   EXPECT_TRUE(cell.try_write(12));
   EXPECT_EQ(cell.try_read(0), std::optional<std::uint64_t>(12));
-  // Cells share the scoped fabric's one network.
-  EXPECT_EQ(&cell.replicated(), &cell.replicated());
-  EXPECT_GT(fab.fabric().net().stats().delivered, 0u);
+  // The cell runs on the scoped fabric's network.
+  EXPECT_GT(fab.net().stats().delivered, 0u);
 }
 
 TEST(NetCellTest, ScopedFabricsNest) {
   ScopedNetFabric outer(config_f(1), NetFaultPlan{}, 3);
-  NetFabric* outer_ptr = NetFabric::current();
+  ScopedNetFabric* outer_ptr = ScopedNetFabric::current();
   {
     ScopedNetFabric inner(config_f(2), NetFaultPlan{}, 4);
-    EXPECT_NE(NetFabric::current(), outer_ptr);
+    EXPECT_NE(ScopedNetFabric::current(), outer_ptr);
     NetCell<std::uint64_t> cell(/*readers=*/1, 0);
     cell.write(5);
     EXPECT_EQ(cell.read(0), 5u);
-    EXPECT_GT(inner.fabric().net().stats().delivered, 0u);
-    EXPECT_EQ(outer.fabric().net().stats().delivered, 0u);
+    EXPECT_GT(inner.net().stats().delivered, 0u);
+    EXPECT_EQ(outer.net().stats().delivered, 0u);
   }
-  EXPECT_EQ(NetFabric::current(), outer_ptr);
+  EXPECT_EQ(ScopedNetFabric::current(), outer_ptr);
 }
 
 }  // namespace

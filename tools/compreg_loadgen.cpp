@@ -338,11 +338,13 @@ void direct_client(const Options& opt, const Fleet& fleet, SteadyPoint epoch,
     out.acks.push_back(AckRec{replica, ts, t_ns});
   });
   if (client == 0) {
-    for (std::uint64_t i = 0; i < opt.ops; ++i) {
-      const std::uint64_t ts = abd.next_write_ts();
+    // The fleet was wiped at start, so the sole writer starts at ts 0
+    // and its i-th write gets ts i: the value it writes.
+    abd.start_at(0);
+    for (std::uint64_t ts = 1; ts <= opt.ops; ++ts) {
       const std::uint64_t start = clock.tick();
       const auto t0 = std::chrono::steady_clock::now();
-      const bool ok = abd.try_write(ts, ts);
+      const bool ok = abd.write_next(ts).ok;
       const auto t1 = std::chrono::steady_clock::now();
       const std::uint64_t end = clock.tick();
       out.writes.push_back(RegWrite{ts, start, ok ? end : kPendingEnd});
@@ -520,10 +522,13 @@ int run_kill_majority(const Options& opt, LiveState& live,
   FaultyTransport net(socket, NetFaultPlan{}, opt.seed, epoch);
   RealAbdClient abd(net, abd_config(opt), epoch);
 
-  // Warmup: with the full fleet up, writes must succeed.
+  // Warmup: with the full fleet up, writes must succeed. The fleet was
+  // wiped at start, so the sole writer starts at ts 0; every write_next
+  // uses one timestamp, and the value written is that timestamp.
+  abd.start_at(0);
+  std::uint64_t ts = 0;
   for (int i = 0; i < 5; ++i) {
-    const std::uint64_t ts = abd.next_write_ts();
-    if (!abd.try_write(ts, ts)) {
+    if (!abd.write_next(++ts).ok) {
       return verdict(opt, {"kill-majority: warmup write " +
                            std::to_string(i) + " failed with the full fleet"});
     }
@@ -540,9 +545,8 @@ int run_kill_majority(const Options& opt, LiveState& live,
       (static_cast<std::int64_t>(opt.attempt_ms) + 64 + 32) * 4);
   const std::uint64_t attempts = std::min<std::uint64_t>(opt.ops, 50);
   for (std::uint64_t i = 0; i < attempts; ++i) {
-    const std::uint64_t ts = abd.next_write_ts();
     const auto t0 = std::chrono::steady_clock::now();
-    const bool ok = abd.try_write(ts, ts);
+    const bool ok = abd.write_next(++ts).ok;
     const auto elapsed = std::chrono::steady_clock::now() - t0;
     progress.fetch_add(1);
     if (ok) {

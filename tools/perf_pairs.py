@@ -3,8 +3,12 @@
 
 Runs `python3 perfbench/run.py` in two checkouts, alternating which side
 goes first, for N pairs per workload. Pair i uses seed SEED+i on both
-sides. Each checkout builds into its own CARGO_TARGET_DIR
-(<checkout>/.bench_build), so neither side rebuilds the other's tree.
+sides. Before the first pair, each checkout is copied into a temporary
+directory (its tracked and untracked files, not its .bench_build), and
+both sides run from the copies: run.py rebuilds before every run, so an
+edit made to a checkout during the pairs cannot reach the measurement.
+Each copy builds into its own CARGO_TARGET_DIR (<copy>/.bench_build), so
+neither side rebuilds the other's tree.
 
 For every metric the run reports, prints each side's median and
 quartiles, the change in the median, the pairs the change won (ties
@@ -32,9 +36,11 @@ import argparse
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 BENCH = "perf_pairs"
@@ -130,6 +136,38 @@ def print_rows(rows):
                r["change_q3"], pct, r["wins"], r["pairs"], verdict))
 
 
+def tree_files(tree):
+    """Relative paths of a checkout's tracked and untracked files.
+
+    In a git work tree, that is what `git ls-files` lists, ignored files
+    excluded; elsewhere, every file. Never anything under .bench_build.
+    """
+    try:
+        out = subprocess.run(
+            ["git", "-C", tree, "ls-files", "-z", "--cached", "--others",
+             "--exclude-standard"], stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, check=True).stdout
+        paths = [p for p in out.decode().split("\0") if p]
+    except (OSError, subprocess.CalledProcessError):
+        paths = []
+        for d, dirs, files in os.walk(tree):
+            dirs[:] = [x for x in dirs if x != ".bench_build"]
+            paths += [os.path.relpath(os.path.join(d, f), tree)
+                      for f in files]
+    return [p for p in paths
+            if p.split("/")[0] != ".bench_build" and
+            os.path.lexists(os.path.join(tree, p))]
+
+
+def freeze(tree, dest):
+    """Copies tree_files(tree) into dest and returns dest."""
+    for rel in tree_files(tree):
+        target = os.path.join(dest, rel)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(os.path.join(tree, rel), target, follow_symlinks=False)
+    return dest
+
+
 def run_one(checkout, workload, seed, seconds, trace):
     env = dict(os.environ)
     env["CARGO_TARGET_DIR"] = os.path.join(checkout, ".bench_build")
@@ -154,21 +192,26 @@ def measure(args):
     specs = metric_specs(args.base)
     rows = []
     bad = False
-    for workload in args.workload:
-        runs = {"base": [], "change": []}
-        for i in range(args.pairs):
-            seed = args.seed + i
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            for side in order:
-                checkout = args.base if side == "base" else args.change
-                result = run_one(checkout, workload, seed, args.seconds,
-                                 args.trace)
-                bad = bad or not result.get("correct", False)
-                runs[side].append(result)
-                print("%s pair %d seed %d %s done (failed %d)" %
-                      (workload, i + 1, seed, side, result.get("failed", 0)),
-                      file=sys.stderr, flush=True)
-        rows += rows_from_runs(workload, specs, runs["base"], runs["change"])
+    with tempfile.TemporaryDirectory(prefix="perf_pairs-") as tmp:
+        trees = {side: freeze(getattr(args, side), os.path.join(tmp, side))
+                 for side in ("base", "change")}
+        for workload in args.workload:
+            runs = {"base": [], "change": []}
+            for i in range(args.pairs):
+                seed = args.seed + i
+                order = (("base", "change") if i % 2 == 0
+                         else ("change", "base"))
+                for side in order:
+                    result = run_one(trees[side], workload, seed,
+                                     args.seconds, args.trace)
+                    bad = bad or not result.get("correct", False)
+                    runs[side].append(result)
+                    print("%s pair %d seed %d %s done (failed %d)" %
+                          (workload, i + 1, seed, side,
+                           result.get("failed", 0)),
+                          file=sys.stderr, flush=True)
+            rows += rows_from_runs(workload, specs, runs["base"],
+                                   runs["change"])
     print_rows(rows)
     if args.json:
         with open(args.json, "w") as f:
@@ -248,11 +291,54 @@ def self_test():
     finally:
         os.remove(path)
 
+    failures += check_freeze()
+
     for f in failures:
         print("perf_pairs self-test FAILED: %s" % f)
     if not failures:
         print("perf_pairs self-test: OK")
     return 1 if failures else 0
+
+
+def check_freeze():
+    """A frozen copy keeps tracked and untracked files, drops .bench_build,
+    and does not see an edit made to the tree after the copy."""
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="perf_pairs_self_test-") as tmp:
+        tree = os.path.join(tmp, "tree")
+        files = {"tracked.txt": "old\n", "src/untracked.txt": "u\n",
+                 ".bench_build/CMakeCache.txt": "cache\n"}
+        for rel, text in files.items():
+            os.makedirs(os.path.dirname(os.path.join(tree, rel)),
+                        exist_ok=True)
+            with open(os.path.join(tree, rel), "w") as f:
+                f.write(text)
+        # A git work tree when git is there; tree_files() walks otherwise.
+        try:
+            for cmd in (["init", "-q"], ["add", "tracked.txt"]):
+                subprocess.run(["git", "-C", tree] + cmd, check=True,
+                               stdout=subprocess.DEVNULL,
+                               stderr=subprocess.DEVNULL)
+        except (OSError, subprocess.CalledProcessError):
+            pass
+        copy = freeze(tree, os.path.join(tmp, "copy"))
+        with open(os.path.join(tree, "tracked.txt"), "w") as f:
+            f.write("edited after the copy\n")
+
+        def read(rel):
+            path = os.path.join(copy, rel)
+            if not os.path.isfile(path):
+                return None
+            with open(path) as f:
+                return f.read()
+
+        if read("tracked.txt") != "old\n":
+            failures.append("an edit after the copy reached the copy")
+        if read("src/untracked.txt") != "u\n":
+            failures.append("an untracked file was not copied")
+        if os.path.exists(os.path.join(copy, ".bench_build")):
+            failures.append(".bench_build was copied")
+    return failures
 
 
 def main(argv):

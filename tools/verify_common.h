@@ -27,7 +27,7 @@
 #include "core/composite_register.h"
 #include "lin/dump.h"
 #include "lin/history.h"
-#include "net/net_cell.h"
+#include "net/replicated_register.h"
 #include "theory/chain.h"
 #include "cli.h"
 

@@ -120,7 +120,7 @@
 #include "lin/stats.h"
 #include "lin/witness.h"
 #include "lin/workload.h"
-#include "net/net_cell.h"
+#include "net/replicated_register.h"
 #include "sched/access.h"
 #include "sched/dpor.h"
 #include "sched/policy.h"
@@ -601,7 +601,7 @@ Execution check(const Options& o, lin::History history,
   e.history = std::move(history);
   e.report = session.report();
   if (ctx != nullptr && ctx->fab) {
-    e.report.merge_findings(ctx->fab->fabric().net().durable().report());
+    e.report.merge_findings(ctx->fab->net().durable().report());
   }
   if (ctx != nullptr) {
     for (analysis::Finding& f : e.report.findings) {
