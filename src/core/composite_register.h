@@ -21,6 +21,25 @@
 // base-register operations per Read / per 0-Write; a k-Write enters the
 // recursion k levels deep, so TW_k(C,R) = TW(C-k, R+k).
 //
+// Memory. The paper fixes the space, S(C,B,1,R), from C, B and R alone
+// (Section 4.1), and so is this register's footprint: the outermost
+// constructor lays out all C levels and makes one allocation. Per
+// level, the block holds the level's own state (the outermost level's
+// is the object itself), Writer 0's statement-4 buffer, the Z cells,
+// each reader slot's line of counters and its statement-4/6 buffers,
+// and the Y[0] cell (with a HazardCell's slots, slab and index arrays),
+// each part on cache lines of its own; docs/memory_model.md maps which
+// thread writes which line. Cells are built in the recursion's order —
+// level 0's Z cells, then level 1's, ..., then each level's Y[0] from
+// the innermost out — and, when the thread has no CellIdArena open,
+// draw their ids from one reserved range. No scan or update allocates,
+// the first ones included, within the Y0Record inline budgets: with more
+// than 8 reader slots at a level with C > 1, or more than six 64-bit
+// components, a record spills seq or ss to the heap each time one is
+// built (a write into a fresh slab node, a copy out of a cell). Cell
+// backends other than HazardCell are placed in the block and allocate
+// their own internals.
+//
 // The Cell template parameter selects the MRSW register backend for
 // the large Y[0] records: registers::HazardCell (default; lock-free
 // reclamation handshake) or registers::TaggedCell (strictly wait-free).
@@ -34,8 +53,11 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <optional>
 #include <vector>
 
 #include "core/item.h"
@@ -43,6 +65,7 @@
 #include "registers/hazard_cell.h"
 #include "registers/register_concepts.h"
 #include "registers/word_register.h"
+#include "sched/access.h"
 #include "util/assert.h"
 #include "util/inline_array.h"
 
@@ -76,6 +99,8 @@ class CompositeRegister final : public Snapshot<V> {
   // reached through MRSW atomic register operations only.
   static_assert(registers::MrswCell<SmallCell<std::uint8_t>, std::uint8_t>);
 
+  class Carver;
+
  public:
   // Performs the paper's assumed Initial Writes: every component starts
   // holding `initial` with id 0.
@@ -83,33 +108,42 @@ class CompositeRegister final : public Snapshot<V> {
       : c_(components), r_(num_readers) {
     COMPREG_CHECK(components >= 1);
     COMPREG_CHECK(num_readers >= 1);
-
-    // Writer 0's private record starts as Y[0]'s initial value.
-    Y0& init = w0_.rec;
-    init.item = Item<V>{initial, 0};
-    if (c_ > 1) {
-      init.seq = {static_cast<std::size_t>(r_), {0, 0}};
-      init.ss = {static_cast<std::size_t>(c_), Item<V>{initial, 0}};
-      // Z[j] (written by reader j, read by Writer 0), j's buffers and
-      // j's statement-8 counters. for_overwrite: every member but the
-      // never-read pad has an initializer, so the pad is left unzeroed.
-      slots_ = std::make_unique_for_overwrite<ReaderSlot[]>(
-          static_cast<std::size_t>(r_));
-      // Y[1..C-1]: the recursion, with reader slot R reserved for
-      // Writer 0's snapshots (Figure 2).
-      inner_ = std::make_unique<CompositeRegister>(c_ - 1, r_ + 1, initial);
-    } else {
-      base_reads_ = std::make_unique_for_overwrite<BaseReadCount[]>(
-          static_cast<std::size_t>(r_));
-    }
-    y0_ = std::make_unique<Cell<Y0>>(r_, init, "Y0", y0_bits());
-#ifndef NDEBUG
-    writer0_busy_ = std::make_unique<std::atomic<bool>>(false);
-    reader_busy_ =
-        std::make_unique<std::atomic<bool>[]>(static_cast<std::size_t>(r_));
-    for (int j = 0; j < r_; ++j) reader_busy_[j] = false;
-#endif
+    // Size every level, then make the one plain allocation and align it
+    // by hand (the aligned operator new made construction slower).
+    Carver sizing(nullptr);
+    for (int k = 0; k < c_; ++k) carve(sizing, c_ - k, r_ + k);
+    const std::size_t bytes = sizing.size();
+    std::size_t space = bytes + kLine - 1;
+    block_.reset(::operator new(space));
+    void* start = block_.get();
+    Carver placing(
+        static_cast<std::byte*>(std::align(kLine, bytes, start, space)));
+    // One reservation for the ids of the cells build() makes. A backend
+    // that builds more labels draws the rest from the shared counter,
+    // which continues where the range ends.
+    std::optional<sched::CellIdArena> ids;
+    if (!sched::CellIdArena::active()) ids.emplace(cells_built(c_, r_));
+    build(placing, initial);
+    COMPREG_CHECK(placing.size() == bytes, "levels placed as sized");
   }
+
+  ~CompositeRegister() override {
+    // Inner levels first, then this level's Z cells and buffers, then its
+    // Y[0]; the outermost level's block_ is freed after this body.
+    const auto rs = static_cast<std::size_t>(r_);
+    const auto items = static_cast<std::size_t>(c_ - 1);
+    if (inner_ != nullptr) std::destroy_at(inner_);
+    if (z_ != nullptr) std::destroy_n(z_, rs);
+    for (std::size_t j = 0; j < rs; ++j) {
+      std::destroy_n(lines_[j].b, 2 * items);
+    }
+    std::destroy_n(lines_, rs);
+    std::destroy_n(w0_.y, items);
+    std::destroy_at(y0_);
+  }
+
+  CompositeRegister(const CompositeRegister&) = delete;
+  CompositeRegister& operator=(const CompositeRegister&) = delete;
 
   int components() const override { return c_; }
   int readers() const override { return r_; }
@@ -128,7 +162,7 @@ class CompositeRegister final : public Snapshot<V> {
 #ifndef NDEBUG
     // relaxed: the RMW's atomicity alone detects overlap; this
     // debug-only guard carries no ordering contract.
-    COMPREG_CHECK(!writer0_busy_->exchange(true, std::memory_order_relaxed),
+    COMPREG_CHECK(!w0_.busy.exchange(true, std::memory_order_relaxed),
                   "concurrent Writers on one component (W=1 violated)");
 #endif
     std::uint64_t id;
@@ -142,7 +176,7 @@ class CompositeRegister final : public Snapshot<V> {
     }
 #ifndef NDEBUG
     // relaxed: see the exchange above - debug guard only.
-    writer0_busy_->store(false, std::memory_order_relaxed);
+    w0_.busy.store(false, std::memory_order_relaxed);
 #endif
     return id;
   }
@@ -151,7 +185,8 @@ class CompositeRegister final : public Snapshot<V> {
   // Read operation (Figure 3, Reader procedure).
   // -------------------------------------------------------------------
   void scan_items(int reader_id, std::vector<Item<V>>& out) override {
-    collect(reader_id, out);
+    out.resize(static_cast<std::size_t>(c_));
+    collect(reader_id, out.data());
   }
 
   using Snapshot<V>::scan;
@@ -174,14 +209,11 @@ class CompositeRegister final : public Snapshot<V> {
   ScanCaseStats scan_case_stats() const {
     ScanCaseStats s;
     for (std::size_t j = 0; j < static_cast<std::size_t>(r_); ++j) {
-      if (c_ == 1) {
-        s.base_reads += peek(base_reads_[j].n);
-        continue;
-      }
-      const auto& n = slots_[j].cases;
+      const auto& n = lines_[j].counts;
       s.adopted_snapshot += peek(n[kAdopted]);
       s.first_collect += peek(n[kFirst]);
       s.second_collect += peek(n[kSecond]);
+      s.base_reads += peek(n[kBaseRead]);
     }
     return s;
   }
@@ -192,7 +224,7 @@ class CompositeRegister final : public Snapshot<V> {
   std::vector<ScanCaseStats> scan_case_stats_by_level() const {
     std::vector<ScanCaseStats> out;
     for (const CompositeRegister* level = this; level != nullptr;
-         level = level->inner_.get()) {
+         level = level->inner_) {
       out.push_back(level->scan_case_stats());
     }
     return out;
@@ -220,6 +252,13 @@ class CompositeRegister final : public Snapshot<V> {
  private:
   using Y0 = Y0Record<V>;
 
+  static constexpr std::size_t kLine = 64;
+  static_assert(alignof(Item<V>) <= kLine, "buffers start on a line");
+  // A HazardCell Y[0] is built over storage carved from the block; any
+  // other backend is placed in the block and allocates its own.
+  static constexpr bool kCellInBlock =
+      requires(int readers) { Cell<Y0>::footprint(readers); };
+
   // The part of a Y[0] record statements 3 and 5 use.
   struct ItemWc {
     Item<V> item;
@@ -232,35 +271,157 @@ class CompositeRegister final : public Snapshot<V> {
   // They are exactly the fields of a Y[0] record, so Writer 0 keeps
   // them as one and statements 3 and 7 write it as is.
   struct Writer0State {
-    Y0 rec;                  // item, seq, ss, wc
-    std::vector<Item<V>> y;  // statement 4 snapshot buffer
+    Y0 rec;                 // item, seq, ss, wc
+    Item<V>* y = nullptr;  // statement 4 snapshot buffer, C-1 items
+#ifndef NDEBUG
+    std::atomic<bool> busy{false};  // debug-only overlap guard
+#endif
   };
 
-  // Statement-8 outcomes, indexing ReaderSlot::cases.
-  enum Case : std::uint8_t { kAdopted, kFirst, kSecond, kCases };
+  // Statement-8 outcomes, and the C == 1 level's reads, indexing
+  // ReaderLine::counts.
+  enum Count : std::uint8_t { kAdopted, kFirst, kSecond, kBaseRead, kCounts };
 
-  // Reader j's private state next to the register it writes: Z[j]
-  // (read by Writer 0 only), the buffers statements 4 and 6 collect
-  // Y[1..C-1] into, reused by every Read on slot j, and j's statement-8
-  // counters. The slots sit in one array; `pad` puts 64 bytes between
-  // one slot's counters and the next slot's Z, so a reader's writes
-  // never invalidate a line another reader is reading. (alignas(64)
-  // would do the same but needs the aligned operator new, which made
-  // construction measurably slower.)
-  struct ReaderSlot {
+  // Z[j] on lines of its own: reader j writes it, Writer 0 reads it on
+  // every 0-Write, and nothing else shares its lines.
+  struct alignas(kLine) ZSlot {
     SmallCell<std::uint8_t> z{/*readers=*/1, std::uint8_t{0}, "Z",
                               /*payload_bits=*/2};
-    std::vector<Item<V>> b, d;
-    std::atomic<std::uint64_t> cases[kCases]{};
-    char pad[64];
   };
 
-  // The C == 1 level's per-reader read counter, one 64-byte stride
-  // apart, so no two readers' counters ever share a cache line.
-  struct BaseReadCount {
-    std::atomic<std::uint64_t> n{0};
-    char pad[56];
+  // Reader slot j's private line: its counters, where its statement-4
+  // and statement-6 buffers (C-1 items each, on lines of their own) are,
+  // and its debug overlap guard. Reader j alone writes it.
+  struct alignas(kLine) ReaderLine {
+    std::atomic<std::uint64_t> counts[kCounts]{};
+    Item<V>* b = nullptr;
+    Item<V>* d = nullptr;
+#ifndef NDEBUG
+    std::atomic<bool> busy{false};
+#endif
   };
+
+  // Where one level's parts sit in the block.
+  struct Parts {
+    CompositeRegister* inner = nullptr;  // c > 1
+    ZSlot* z = nullptr;                  // c > 1
+    Item<V>* y = nullptr;
+    ReaderLine* lines = nullptr;
+    std::byte* buffers = nullptr;  // reader j's b and d at j * stride
+    Cell<Y0>* y0 = nullptr;
+    std::byte* y0_storage = nullptr;  // kCellInBlock
+  };
+
+  // Hands out the block in order, each part from a fresh cache line, so
+  // no two parts share a line. Built over no block it only measures: the
+  // constructor carves every level twice, once to size the block and
+  // once to place into it.
+  class Carver {
+   public:
+    explicit Carver(std::byte* base) : base_(base) {}
+
+    template <typename T>
+    T* take(std::size_t n) {
+      constexpr std::size_t align = std::max(kLine, alignof(T));
+      end_ = (end_ + align - 1) / align * align;
+      T* at = base_ == nullptr ? nullptr
+                               : reinterpret_cast<T*>(base_ + end_);
+      end_ += n * sizeof(T);
+      return at;
+    }
+    std::size_t size() const { return end_; }
+
+   private:
+    std::byte* base_;
+    std::size_t end_ = 0;
+  };
+
+  struct FreeBlock {
+    void operator()(void* block) const { ::operator delete(block); }
+  };
+
+  // The cells build() makes itself: a Y[0] per level and R+k Z cells at
+  // each level k < C-1. The default backends take one cell id each, so
+  // this is the construction's id count.
+  static std::uint64_t cells_built(int components, int num_readers) {
+    std::uint64_t cells = static_cast<std::uint64_t>(components);
+    for (int k = 0; k + 1 < components; ++k) {
+      cells += static_cast<std::uint64_t>(num_readers + k);
+    }
+    return cells;
+  }
+
+  // Reader j's b and d, rounded up to whole lines.
+  static std::size_t buffer_stride(int c) {
+    const std::size_t bytes =
+        2 * static_cast<std::size_t>(c - 1) * sizeof(Item<V>);
+    return (bytes + kLine - 1) / kLine * kLine;
+  }
+
+  // One level's parts, in block order.
+  static Parts carve(Carver& block, int c, int r) {
+    const auto rs = static_cast<std::size_t>(r);
+    Parts at;
+    if (c > 1) {
+      at.inner = block.template take<CompositeRegister>(1);
+      at.z = block.template take<ZSlot>(rs);
+    }
+    at.y = block.template take<Item<V>>(static_cast<std::size_t>(c - 1));
+    at.lines = block.template take<ReaderLine>(rs);
+    at.buffers = block.template take<std::byte>(rs * buffer_stride(c));
+    at.y0 = block.template take<Cell<Y0>>(1);
+    if constexpr (kCellInBlock) {
+      at.y0_storage = block.template take<std::byte>(Cell<Y0>::footprint(r));
+    }
+    return at;
+  }
+
+  // An inner level, built in the outermost level's block.
+  CompositeRegister(Carver& block, int components, int num_readers,
+                    const V& initial)
+      : c_(components), r_(num_readers) {
+    build(block, initial);
+  }
+
+  // Builds this level and, through the recursion, every inner one, in
+  // the parts carve() assigns them: Z cells here, then the inner levels,
+  // then this level's Y[0].
+  void build(Carver& block, const V& initial) {
+    const Parts at = carve(block, c_, r_);
+    const auto rs = static_cast<std::size_t>(r_);
+    const auto items = static_cast<std::size_t>(c_ - 1);
+    const Item<V> init_item{initial, 0};
+
+    // Writer 0's private record starts as Y[0]'s initial value.
+    Y0& init = w0_.rec;
+    init.item = init_item;
+    w0_.y = at.y;
+    std::uninitialized_fill_n(w0_.y, items, init_item);
+    lines_ = at.lines;
+    std::uninitialized_default_construct_n(lines_, rs);
+    for (std::size_t j = 0; j < rs; ++j) {
+      auto* b = reinterpret_cast<Item<V>*>(at.buffers + j * buffer_stride(c_));
+      std::uninitialized_fill_n(b, 2 * items, init_item);
+      lines_[j].b = b;
+      lines_[j].d = b + items;
+    }
+    if (c_ > 1) {
+      init.seq = {rs, {0, 0}};
+      init.ss = {static_cast<std::size_t>(c_), init_item};
+      // Z[j] (written by reader j, read by Writer 0).
+      z_ = at.z;
+      std::uninitialized_default_construct_n(z_, rs);
+      // Y[1..C-1]: the recursion, with reader slot R reserved for
+      // Writer 0's snapshots (Figure 2).
+      inner_ = ::new (at.inner) CompositeRegister(block, c_ - 1, r_ + 1,
+                                                  initial);
+    }
+    if constexpr (kCellInBlock) {
+      y0_ = ::new (at.y0) Cell<Y0>(at.y0_storage, r_, init, "Y0", y0_bits());
+    } else {
+      y0_ = ::new (at.y0) Cell<Y0>(r_, init, "Y0", y0_bits());
+    }
+  }
 
   static void bump(std::atomic<std::uint64_t>& n) {
     // Reader slot j alone bumps slot j's counters, so a load+store does
@@ -294,7 +455,10 @@ class CompositeRegister final : public Snapshot<V> {
     }
   }
 
-  std::uint64_t write0(const V& value) {
+  // Kept out of line: inlined into a caller's loop, GCC 12 warns that a
+  // std::variant value the caller passes may be destroyed uninitialized
+  // (a -Wmaybe-uninitialized false positive).
+  [[gnu::noinline]] std::uint64_t write0(const V& value) {
     Y0& w = w0_.rec;
     // 0: wc, item.val, item.id := wc (+) 1, val, item.id + 1
     w.wc = mod3_plus(w.wc, 1);
@@ -302,7 +466,7 @@ class CompositeRegister final : public Snapshot<V> {
     // 1, 2.n: read seq[0, n] := Z[n]  (one read per reader)
     for (int n = 0; n < r_; ++n) {
       w.seq[static_cast<std::size_t>(n)][0] =
-          slots_[static_cast<std::size_t>(n)].z.read(0);
+          z_[static_cast<std::size_t>(n)].z.read(0);
     }
     // 3: write Y[0]; seq[1] and ss still hold the previous operation's
     //    values, so this write does not alter Y[0].seq[1] or Y[0].ss.
@@ -312,8 +476,7 @@ class CompositeRegister final : public Snapshot<V> {
     // 5: ss[0], ss[k] := item, y[k]
     w.ss[0] = w.item;
     for (int k = 1; k < c_; ++k) {
-      w.ss[static_cast<std::size_t>(k)] =
-          w0_.y[static_cast<std::size_t>(k - 1)];
+      w.ss[static_cast<std::size_t>(k)] = w0_.y[k - 1];
     }
     // 6: seq[1] := seq[0]
     for (int n = 0; n < r_; ++n) {
@@ -326,26 +489,26 @@ class CompositeRegister final : public Snapshot<V> {
     return w.item.id;
   }
 
-  // One Read at this level on slot j.
-  void collect(int j, std::vector<Item<V>>& out) {
+  // One Read at this level on slot j, into out[0..C-1].
+  void collect(int j, Item<V>* out) {
     COMPREG_DCHECK(j >= 0 && j < r_);
     // audit: exempt(waitfree, Read recursion bounded by C - collect/read_general strip one level per call, O(2^C) steps total, paper Theorem 2)
+    ReaderLine& line = lines_[static_cast<std::size_t>(j)];
 #ifndef NDEBUG
     // relaxed: the RMW's atomicity alone detects overlapping scans;
     // this debug-only guard carries no ordering contract.
-    COMPREG_CHECK(!reader_busy_[j].exchange(true, std::memory_order_relaxed),
+    COMPREG_CHECK(!line.busy.exchange(true, std::memory_order_relaxed),
                   "concurrent scans on one reader slot");
 #endif
     if (c_ == 1) {
-      out.resize(1);
       out[0] = y0_->read(j, [](const Y0& y) { return y.item; });
-      bump(base_reads_[static_cast<std::size_t>(j)].n);
+      bump(line.counts[kBaseRead]);
     } else {
-      read_general(j, out);
+      read_general(j, line, out);
     }
 #ifndef NDEBUG
     // relaxed: see the exchange above - debug guard only.
-    reader_busy_[j].store(false, std::memory_order_relaxed);
+    line.busy.store(false, std::memory_order_relaxed);
 #endif
   }
 
@@ -356,65 +519,61 @@ class CompositeRegister final : public Snapshot<V> {
   // scans, so a level no 0-Write touched since slot j's last visit is
   // read with two loads and a compare, and (with a WordCell Z) its Z[j]
   // write below stores nothing when newseq is unchanged.
-  void read_general(int j, std::vector<Item<V>>& out) {
+  void read_general(int j, ReaderLine& line, Item<V>* out) {
     const std::size_t ju = static_cast<std::size_t>(j);
-    ReaderSlot& slot = slots_[ju];
     // 0: read x := Y[0]  (only x.seq[j] is used)
     const std::array<std::uint8_t, 2> xseq =
         y0_->read(j, [ju](const Y0& x) { return x.seq[ju]; });
     // 1: select newseq differing from Writer 0's two copies
     const std::uint8_t newseq = pick_newseq(xseq[0], xseq[1]);
     // 2: write Z[j] := newseq
-    slot.z.write(newseq);
+    z_[ju].z.write(newseq);
     // 3: read a := Y[0]  (a.item, a.wc)
     const ItemWc a = y0_->read(j, item_wc);
     // 4: read b := Y[1..C-1]
-    inner_->collect(j, slot.b);
+    inner_->collect(j, line.b);
     // 5: read c := Y[0]  (c.item, c.wc)
     const ItemWc c = y0_->read(j, item_wc);
     // 6: read d := Y[1..C-1]
-    inner_->collect(j, slot.d);
+    inner_->collect(j, line.d);
     // 7: read e := Y[0], and 8's first test on it: if it holds, e.ss
     //    is copied into out inside the read.
-    out.resize(static_cast<std::size_t>(c_));
     const bool adopted = y0_->read(j, [&](const Y0& e) {
       const bool adopt =
           e.seq[ju][1] == newseq || e.wc == mod3_plus(a.wc, 2);
-      if (adopt) std::copy(e.ss.begin(), e.ss.end(), out.begin());
+      if (adopt) std::copy(e.ss.begin(), e.ss.end(), out);
       return adopt;
     });
     // 8: three-way case analysis
     if (adopted) {
       // Overlapped by "too many" 0-Writes: return an overlapping
       // Write's embedded snapshot.
-      bump(slot.cases[kAdopted]);
+      bump(line.counts[kAdopted]);
     } else if (a.wc == c.wc) {
       out[0] = a.item;
-      std::copy(slot.b.begin(), slot.b.end(), out.begin() + 1);
-      bump(slot.cases[kFirst]);
+      std::copy_n(line.b, c_ - 1, out + 1);
+      bump(line.counts[kFirst]);
     } else {  // c.wc == e.wc
       out[0] = c.item;
-      std::copy(slot.d.begin(), slot.d.end(), out.begin() + 1);
-      bump(slot.cases[kSecond]);
+      std::copy_n(line.d, c_ - 1, out + 1);
+      bump(line.counts[kSecond]);
     }
     // 9: return
   }
 
   const int c_;
   const int r_;
-  std::unique_ptr<Cell<Y0>> y0_;
-  std::unique_ptr<ReaderSlot[]> slots_;  // null iff c_ == 1
-  std::unique_ptr<CompositeRegister> inner_;  // null iff c_ == 1
-  std::unique_ptr<BaseReadCount[]> base_reads_;  // null iff c_ > 1
+  Cell<Y0>* y0_ = nullptr;
+  ZSlot* z_ = nullptr;                  // null iff c_ == 1
+  ReaderLine* lines_ = nullptr;         // r_ lines, one per reader slot
+  CompositeRegister* inner_ = nullptr;  // null iff c_ == 1
+  // The outermost level's block, holding every level; null in the inner
+  // levels, which live in it.
+  std::unique_ptr<void, FreeBlock> block_;
   // Every reader loads the members above on every scan; every 0-Write
   // stores into w0_. The pad keeps the two off one cache line.
   char pad_[64];
   Writer0State w0_;  // Writer 0 private state
-
-#ifndef NDEBUG
-  std::unique_ptr<std::atomic<bool>> writer0_busy_;
-  std::unique_ptr<std::atomic<bool>[]> reader_busy_;
-#endif
 };
 
 }  // namespace compreg::core

@@ -21,9 +21,12 @@
 // handshake runs only when a write has landed since the slot's last
 // read. A pin is never cleared: it only keeps the writer off that node.
 //
-// The cell makes one allocation, at construction: a block holding the
-// readers' hazard slots, a slab of 2*readers+2 nodes and the writer's
-// bookkeeping, each slot and each node on cache lines of its own. Only
+// The cell's memory is one block, fixed at construction: the readers'
+// hazard slots, a slab of 2*readers+2 nodes and the writer's
+// bookkeeping, each slot and each node on cache lines of its own. The
+// block is footprint(readers) bytes; a cell either allocates it (one
+// allocation) or is built over storage its owner carved for it, as a
+// CompositeRegister does for every level's Y[0]. Only
 // the initial node is built then; the slab fills first, one node per
 // write, so construction touches no more memory than it uses and no
 // write allocates a node. A node holds only its value: the free stack,
@@ -66,21 +69,29 @@ namespace compreg::registers {
 template <typename T>
 class HazardCell {
  public:
-  HazardCell(int readers, T initial, const char* label = "cell",
+  // Bytes of storage a cell with `readers` reader slots lives in: the
+  // slots, the node slab and the writer's index arrays, each starting
+  // on a cache line when the storage does.
+  static std::size_t footprint(int readers) {
+    const std::size_t slots = static_cast<std::size_t>(readers);
+    const std::size_t nodes = capacity(readers);
+    return slots * sizeof(HazardSlot) + nodes * sizeof(Node) +
+           nodes * (2 * sizeof(Index) + 1);
+  }
+
+  // Builds the cell over `storage`: footprint(readers) bytes on a
+  // cache-line boundary that the caller keeps, for the cell's lifetime,
+  // for the cell alone. Left uninitialised: only the slots and node 0
+  // are built now.
+  HazardCell(void* storage, int readers, T initial,
+             const char* label = "cell",
              std::uint64_t payload_bits = sizeof(T) * 8)
       : readers_(readers), access_(label, sched::Discipline::kSwmr, readers) {
     COMPREG_CHECK(readers >= 1);
-    // One plain allocation, aligned by hand: the slots, the node slab
-    // and the writer's index arrays, each starting on a cache line.
-    // Left uninitialised: only the slots and node 0 are built now.
+    COMPREG_CHECK(reinterpret_cast<std::uintptr_t>(storage) % kLine == 0,
+                  "HazardCell storage starts on a cache line");
     const std::size_t slots = static_cast<std::size_t>(readers);
-    const std::size_t bytes = slots * sizeof(HazardSlot) +
-                              capacity() * sizeof(Node) +
-                              capacity() * (2 * sizeof(Index) + 1);
-    std::size_t space = bytes + kLine - 1;
-    block_.reset(::operator new(space));
-    void* start = block_.get();
-    hazards_ = static_cast<HazardSlot*>(std::align(kLine, bytes, start, space));
+    hazards_ = static_cast<HazardSlot*>(storage);
     std::uninitialized_default_construct_n(hazards_, slots);
     slab_ = reinterpret_cast<std::byte*>(hazards_ + slots);
     free_ = reinterpret_cast<Index*>(slab_ + capacity() * sizeof(Node));
@@ -91,6 +102,13 @@ class HazardCell {
     current_.store(build(std::move(initial)), std::memory_order_relaxed);
     account_register(label, payload_bits, readers);
   }
+
+  // A cell that owns its storage: allocate footprint(readers) bytes,
+  // then build the cell over them.
+  HazardCell(int readers, T initial, const char* label = "cell",
+             std::uint64_t payload_bits = sizeof(T) * 8)
+      : HazardCell(allocate(readers), readers, std::move(initial), label,
+                   payload_bits) {}
 
   ~HazardCell() {
     for (Index i = 0; i < nodes_; ++i) node_at(i)->~Node();
@@ -189,10 +207,37 @@ class HazardCell {
   struct FreeBlock {
     void operator()(void* block) const { ::operator delete(block); }
   };
+  struct OwnedStorage {
+    std::unique_ptr<void, FreeBlock> block;
+    void* start;  // the first cache line inside `block`
+  };
+
+  // One plain allocation, aligned by hand: the aligned operator new
+  // made construction measurably slower.
+  static OwnedStorage allocate(int readers) {
+    COMPREG_CHECK(readers >= 1);
+    const std::size_t bytes = footprint(readers);
+    std::size_t space = bytes + kLine - 1;
+    OwnedStorage storage{
+        std::unique_ptr<void, FreeBlock>(::operator new(space)), nullptr};
+    storage.start = storage.block.get();
+    std::align(kLine, bytes, storage.start, space);
+    return storage;
+  }
+
+  HazardCell(OwnedStorage storage, int readers, T initial, const char* label,
+             std::uint64_t payload_bits)
+      : HazardCell(storage.start, readers, std::move(initial), label,
+                   payload_bits) {
+    block_ = std::move(storage.block);
+  }
 
   // readers+1 free nodes per scan: at most `readers` of the other
   // 2*readers+1 nodes are pinned when the slab is full.
-  Index capacity() const { return 2 * static_cast<Index>(readers_) + 2; }
+  static Index capacity(int readers) {
+    return 2 * static_cast<Index>(readers) + 2;
+  }
+  Index capacity() const { return capacity(readers_); }
 
   Node* node_at(Index i) const {
     return std::launder(reinterpret_cast<Node*>(slab_ + i * sizeof(Node)));
@@ -255,7 +300,7 @@ class HazardCell {
   std::atomic<Node*> current_{nullptr};
   HazardSlot* hazards_ = nullptr;  // readers_ slots at the block's head
   std::byte* slab_ = nullptr;      // capacity() nodes after the slots
-  std::unique_ptr<void, FreeBlock> block_;
+  std::unique_ptr<void, FreeBlock> block_;  // null over caller storage
   // Every read loads the members above; every write stores into the
   // ones below. The pad keeps the two off one cache line.
   char pad_[64];

@@ -28,6 +28,8 @@ CellIdArena::CellIdArena(std::uint64_t capacity)
   t_arena_end = base_ + capacity;
 }
 
+bool CellIdArena::active() { return t_arena_next != t_arena_end; }
+
 CellIdArena::~CellIdArena() {
   t_arena_next = prev_next_;
   t_arena_end = prev_end_;

@@ -81,6 +81,10 @@ class CellIdArena {
 
   std::uint64_t base() const { return base_; }
 
+  // Whether this thread's new_cell_id() draws from an open arena's
+  // range (one with ids left).
+  static bool active();
+
  private:
   std::uint64_t base_;
   std::uint64_t prev_next_;

@@ -40,7 +40,13 @@ bool BenchRows::write(const std::string& path, const char* bench) const {
                  i + 1 < rows_.size() ? "," : "");
   }
   std::fprintf(f, "]\n}\n");
-  std::fclose(f);
+  // A write that failed (a full disk, say) shows in the stream's error
+  // flag or when fclose flushes the last buffer.
+  const bool failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || failed) {
+    std::fprintf(stderr, "failed writing %s\n", path.c_str());
+    return false;
+  }
   std::printf("wrote %zu rows to %s\n", rows_.size(), path.c_str());
   return true;
 }

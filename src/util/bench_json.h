@@ -25,7 +25,8 @@ class BenchRows {
   void add_text(std::string row);
 
   // Writes the envelope for `bench` to `path` and says so on stdout;
-  // false, said on stderr, if `path` cannot be written.
+  // false, said on stderr, if `path` cannot be opened or a write to it
+  // fails.
   bool write(const std::string& path, const char* bench) const;
 
  private:

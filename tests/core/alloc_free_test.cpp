@@ -1,11 +1,12 @@
-// Steady-state heap audit of CompositeRegister<uint64_t> over HazardCell:
-// once every reader slot has scanned and every component has been
-// updated, scans and updates perform no heap allocation at all, and
-// construction allocates no more than the construction did before Y[0]
-// reads, HazardCell nodes and collect buffers were made reusable, nor
-// more than it does with flat Y[0] records, nor more than one block per
-// HazardCell. A HazardCell write never allocates, even when every
-// reader pins a different node.
+// Heap audit of CompositeRegister<uint64_t> over HazardCell: the
+// constructor makes exactly one allocation (one block holds every
+// level), and no scan or update allocates — the first scan on each
+// reader slot and the first update of each component included. The
+// constructor tables record how the count fell: before Y[0] reads,
+// HazardCell nodes and collect buffers were made reusable, with flat
+// Y[0] records, with one block per HazardCell, and with one block per
+// register. A HazardCell write never allocates, even when every reader
+// pins a different node.
 //
 // This binary replaces the global operator new/delete with a counter
 // that forwards to malloc/free, so ASan and TSan still see every block.
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -76,8 +78,8 @@ constexpr int kReaders = 3;
 
 // Constructor allocations of CompositeRegister<uint64_t>(C, 3, 0) before
 // this optimisation, counted by this file's operator new (aligned forms
-// included), indexed by C. Debug builds add the two overlap guards per
-// recursion level.
+// included), indexed by C. Release builds; Debug builds added the two
+// overlap guards per recursion level.
 constexpr std::uint64_t kCtorAllocsBefore[] = {0, 0, 19, 35, 52, 70, 89};
 
 // The same count once each Y[0] record became one flat object: a
@@ -89,13 +91,10 @@ constexpr std::uint64_t kCtorAllocsFlatY0[] = {0, 0, 9, 14, 19, 24, 29};
 // slots and its node slab) instead of a node plus a slot array.
 constexpr std::uint64_t kCtorAllocsSlab[] = {0, 0, 7, 11, 15, 19, 23};
 
-std::uint64_t ctor_alloc_bound(const std::uint64_t* table, int c) {
-  std::uint64_t bound = table[c];
-#ifndef NDEBUG
-  bound += 2 * static_cast<std::uint64_t>(c);
-#endif
-  return bound;
-}
+// The same count once the whole register became one block: every
+// level's state, cells, buffers and (in Debug builds) overlap guards.
+// Release and Debug builds alike.
+constexpr std::uint64_t kCtorAllocsOneBlock[] = {0, 1, 1, 1, 1, 1, 1};
 
 class AllocFreeTest : public ::testing::TestWithParam<int> {};
 
@@ -107,13 +106,16 @@ TEST_P(AllocFreeTest, SteadyStateScansAndUpdatesDoNotAllocate) {
   CompositeRegister<std::uint64_t> reg(c, kReaders, 0);
   const std::uint64_t ctor = allocs() - before_ctor;
 
-  // Warm-up: one scan per reader slot sizes every level's collect
-  // buffers; one update per component warms every Writer 0's snapshot
-  // buffer (a HazardCell builds its nodes in the block its constructor
-  // allocated, so its writes never allocate).
-  std::vector<Item<std::uint64_t>> out;
+  // The caller's own vector is the caller's: size it before counting.
+  std::vector<Item<std::uint64_t>> out(static_cast<std::size_t>(c));
+
+  // No warm-up: the first scan on every reader slot and the first update
+  // of every component find their buffers and nodes in the block.
+  const std::uint64_t before_first = allocs();
   for (int j = 0; j < kReaders; ++j) reg.scan_items(j, out);
+  const std::uint64_t first_scans = allocs() - before_first;
   for (int k = 0; k < c; ++k) reg.update(k, 1);
+  const std::uint64_t first_updates = allocs() - before_first - first_scans;
 
   const std::uint64_t before_scans = allocs();
   for (int i = 0; i < kOps; ++i) reg.scan_items(i % kReaders, out);
@@ -128,15 +130,20 @@ TEST_P(AllocFreeTest, SteadyStateScansAndUpdatesDoNotAllocate) {
   }
   const std::uint64_t updates = allocs() - before_updates;
 
+  EXPECT_EQ(first_scans, 0u) << "allocations over the first scan on each of "
+                             << kReaders << " slots, C=" << c;
+  EXPECT_EQ(first_updates, 0u)
+      << "allocations over the first update of each component, C=" << c;
   EXPECT_EQ(scans, 0u) << "allocations over " << kOps << " scans, C=" << c;
   EXPECT_EQ(updates, 0u) << "allocations over " << kOps << " updates, C="
                          << c;
-  EXPECT_LE(ctor, ctor_alloc_bound(kCtorAllocsBefore, c))
-      << "constructor allocations, C=" << c;
-  EXPECT_LE(ctor, ctor_alloc_bound(kCtorAllocsFlatY0, c))
+  EXPECT_LE(ctor, kCtorAllocsBefore[c]) << "constructor allocations, C=" << c;
+  EXPECT_LE(ctor, kCtorAllocsFlatY0[c])
       << "constructor allocations with flat Y[0] records, C=" << c;
-  EXPECT_LE(ctor, ctor_alloc_bound(kCtorAllocsSlab, c))
+  EXPECT_LE(ctor, kCtorAllocsSlab[c])
       << "constructor allocations with one block per HazardCell, C=" << c;
+  EXPECT_EQ(ctor, kCtorAllocsOneBlock[c])
+      << "constructor allocations with one block per register, C=" << c;
 
   // The reused buffers still carry the right values.
   reg.scan_items(0, out);
@@ -189,6 +196,26 @@ TEST(HazardCellAllocTest, WritesNeverAllocate) {
   EXPECT_EQ(allocs() - before_writes, function_allocs)
       << "allocations over " << next - 1 << " writes";
   EXPECT_EQ(cell.read(0), next - 1);
+}
+
+// Over storage its owner carved, the cell allocates nothing: its slots,
+// slab and index arrays fit in footprint(readers) bytes.
+TEST(HazardCellAllocTest, CallerStorageConstructorAllocatesNothing) {
+  using Cell = registers::HazardCell<std::uint64_t>;
+  const std::size_t bytes = Cell::footprint(kReaders);
+  std::vector<std::byte> storage(bytes + 63);
+  void* start = storage.data();
+  std::size_t space = storage.size();
+  ASSERT_NE(std::align(64, bytes, start, space), nullptr);
+
+  const std::uint64_t before = allocs();
+  {
+    Cell cell(start, kReaders, 0);
+    for (std::uint64_t v = 1; v <= 100; ++v) cell.write(v);
+    EXPECT_EQ(cell.read(0), 100u);
+    EXPECT_EQ(cell.node_count(), 2u * kReaders + 2);
+  }
+  EXPECT_EQ(allocs() - before, 0u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <variant>
 
 #include "registers/tagged_cell.h"
+#include "sched/access.h"
 
 namespace compreg::core {
 namespace {
@@ -16,10 +17,14 @@ class CompositeSequentialTest : public ::testing::Test {};
 struct HazardBackend {
   template <typename V>
   using Reg = CompositeRegister<V, registers::HazardCell>;
+  template <typename T>
+  using Cell = registers::HazardCell<T>;
 };
 struct TaggedBackend {
   template <typename V>
   using Reg = CompositeRegister<V, registers::TaggedCell>;
+  template <typename T>
+  using Cell = registers::TaggedCell<T>;
 };
 
 using Backends = ::testing::Types<HazardBackend, TaggedBackend>;
@@ -45,6 +50,50 @@ TYPED_TEST(CompositeSequentialTest, SingleComponentActsAsRegister) {
       EXPECT_EQ(items[0].val, i * 10);
       EXPECT_EQ(items[0].id, i);
     }
+  }
+}
+
+// Cell ids drawn while `build` runs: new_cell_id() just after, minus
+// new_cell_id() just before, minus the one `before` itself took.
+template <typename F>
+std::uint64_t ids_drawn(F&& build) {
+  const std::uint64_t before = sched::new_cell_id();
+  build();
+  return sched::new_cell_id() - before - 1;
+}
+
+// Outside an arena, a construction hands out one gap-free run of ids:
+// as many as the labels it builds, which are the Z cells (one each) and
+// the Y[0] cells (counted by building the same cells alone).
+TYPED_TEST(CompositeSequentialTest, ConstructionIdsAreOneGapFreeRun) {
+  constexpr int kReaders = 3;
+  for (int c = 1; c <= 6; ++c) {
+    std::uint64_t labels = 0;
+    for (int k = 0; k < c; ++k) {
+      if (k + 1 < c) labels += static_cast<std::uint64_t>(kReaders + k);
+      labels += ids_drawn([&] {
+        typename TypeParam::template Cell<Y0Record<std::uint64_t>> y0(
+            kReaders + k, {});
+      });
+    }
+    EXPECT_EQ(ids_drawn([&] {
+                typename TypeParam::template Reg<std::uint64_t> reg(
+                    c, kReaders, 0);
+              }),
+              labels)
+        << "C=" << c;
+  }
+}
+
+// Inside an open arena the construction takes its ids from that arena,
+// C + sum(R+k) offsets, and opens none of its own.
+TEST(CompositeCellIdsTest, ArenaOffsetsCountTheCellsBuilt) {
+  // C Y[0] cells plus 3+k Z cells at each level k < C-1, for R = 3.
+  constexpr std::uint64_t kCells[] = {0, 1, 5, 10, 16, 23, 31};
+  for (int c = 1; c <= 6; ++c) {
+    sched::CellIdArena arena(64);
+    { CompositeRegister<std::uint64_t> reg(c, 3, 0); }
+    EXPECT_EQ(sched::new_cell_id() - arena.base(), kCells[c]) << "C=" << c;
   }
 }
 

@@ -17,10 +17,15 @@ every non-constructor function of the audited trees:
 Constructors and destructors are skipped: they run before the object is
 shared (or after), so allocation and locking there cannot stall a
 concurrent operation. Known limitation, stated rather than hidden:
-container mutations (push_back, resize) are NOT flagged — the trees
-pre-size their vectors in constructors, and flagging every element
-access would bury the signal; the allocation check above catches the
-direct escape hatches.
+container mutations (push_back, resize) are NOT flagged, because
+flagging every element access would bury the signal; the allocation
+check above catches the direct escape hatches. For the core the gap is
+closed by test rather than by this pass: a CompositeRegister makes one
+allocation, in its constructor, and its scans and updates write only
+into buffers sized there (alloc_free_test counts zero allocations over
+the first scan on every slot and the first update of every component,
+within the Y0Record inline budgets). The one container a core scan
+touches is the caller's own `out` vector, resized to C.
 
 The mutex baseline is blocking BY DESIGN — it carries a file-level
 `audit: exempt(blocking, ...)` saying exactly that, which keeps the

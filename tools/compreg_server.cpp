@@ -18,7 +18,9 @@
 // SIGTERM/SIGINT triggers a graceful drain: stop admitting, finish
 // every in-flight op, stop the workers, export telemetry, and verify
 // the conservation invariant (received == ok + unavailable + busy).
-// Exit 0 = clean shutdown with conservation intact; 1 = violated.
+// Exit 0 = clean shutdown with conservation intact; 1 = violated;
+// 64 = usage error, a --stats-out/--json-out path that cannot be opened
+// (checked at startup) or a failed write of either file at shutdown.
 #include <signal.h>
 
 #include <atomic>
@@ -26,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -50,6 +53,26 @@ using compreg::tools::run_replica_child;
 using compreg::net::real::TransportKind;
 
 std::atomic<Server*> g_server{nullptr};
+
+// Whether `path` can be opened for writing. Checked without leaving a
+// file behind: a stats file appears only when the daemon has drained.
+bool can_write(const std::string& path) {
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  const bool ok = std::ofstream(path, std::ios::app).is_open();
+  if (ok && !existed) std::filesystem::remove(path, ec);
+  return ok;
+}
+
+// Writes `text` to `path`; false, said on stderr, if any of it failed.
+bool write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+  out.close();
+  if (out) return true;
+  std::fprintf(stderr, "failed writing %s\n", path.c_str());
+  return false;
+}
 
 void on_signal(int) {
   // Async-signal-safe: a lock-free load, then Server::stop() (a
@@ -141,6 +164,12 @@ int main(int argc, char** argv) {
       return kExitUsage;
     }
   }
+  for (const std::string* path : {&stats_out, &json_out}) {
+    if (!path->empty() && !can_write(*path)) {
+      std::fprintf(stderr, "cannot write %s\n", path->c_str());
+      return kExitUsage;
+    }
+  }
 
   // Demo/convenience mode: own the fleet ourselves. (The loadgen owns
   // the fleet in chaos runs so it can kill-9 members.)
@@ -190,15 +219,18 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cons.unavailable),
               static_cast<unsigned long long>(cons.busy));
 
+  bool written = true;
   if (!stats_out.empty()) {
-    std::ofstream out(stats_out);
-    out << compreg::telemetry::to_text(snap);
-    out << "conservation " << (cons.ok ? "OK" : "VIOLATION") << "\n";
+    written &= write_file(stats_out,
+                          compreg::telemetry::to_text(snap) + "conservation " +
+                              (cons.ok ? "OK" : "VIOLATION") + "\n");
   }
   if (!json_out.empty()) {
-    std::ofstream out(json_out);
-    out << compreg::telemetry::to_json(snap, "server_telemetry", "E20");
+    written &= write_file(
+        json_out,
+        compreg::telemetry::to_json(snap, "server_telemetry", "E20"));
   }
   if (fleet) fleet->sup().terminate_all(std::chrono::milliseconds(2000));
+  if (!written) return kExitUsage;
   return cons.ok ? 0 : 1;
 }

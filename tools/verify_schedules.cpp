@@ -94,7 +94,8 @@
 // Exit codes: 0 = clean (certified, bounded-clean, or every sample);
 // 1 = violation, conformance finding, witness failure or
 // cross-validation mismatch (artifact written to --out); 2 = watchdog
-// timeout; 64 = usage error.
+// timeout; 64 = usage error, or a --certificate file that cannot be
+// opened (checked before exploring) or written.
 #include <atomic>
 #include <chrono>
 #include <climits>
@@ -136,6 +137,7 @@ namespace lin = compreg::lin;
 namespace net = compreg::net;
 namespace sched = compreg::sched;
 using compreg::tools::Artifact;
+using compreg::tools::kExitUsage;
 using compreg::tools::kExitViolation;
 using compreg::tools::LiveState;
 using compreg::tools::make_impl;
@@ -834,6 +836,16 @@ int enumerate(Run& run) {
     return 0;
   }
 
+  // Opened before the exploration, so a path that cannot be written
+  // fails in milliseconds, not after the run.
+  std::ofstream cert;
+  if (!o.certificate_path.empty()) {
+    cert.open(o.certificate_path);
+    if (!cert) {
+      usage_error("cannot write --certificate %s", o.certificate_path.c_str());
+    }
+  }
+
   const auto explore = [&](const sched::SymmetrySpec& sym,
                            bool cover) -> sched::DporResult {
     sched::DporOptions opts;
@@ -894,10 +906,9 @@ int enumerate(Run& run) {
     std::printf("conformance totals: %s\n", run.totals.summary().c_str());
   }
 
-  if (!o.certificate_path.empty()) {
+  if (cert.is_open()) {
     // Timing-free and jobs-free by construction: byte-identical across
     // --jobs values for the same configuration (the suite diffs this).
-    std::ofstream cert(o.certificate_path);
     cert << "# " << o.artifact.tool << " certificate\n"
          << "# " << o.artifact.config_line << "\n"
          << "verdict: " << verdict_name(result) << "\n"
@@ -911,6 +922,13 @@ int enumerate(Run& run) {
     if (!result.ok) {
       cert << "violation_schedule: " << schedule_csv(result.violation_schedule)
            << "\n";
+    }
+    cert.close();
+    if (!cert) {
+      std::fprintf(stderr, "failed writing --certificate %s\n",
+                   o.certificate_path.c_str());
+      // A violation still reports below, and exits non-zero there.
+      if (result.ok) return kExitUsage;
     }
   }
 
