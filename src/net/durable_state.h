@@ -56,8 +56,9 @@
 
 namespace compreg::net {
 
+// Also the counters of the file-backed store (net/real/durable_file.h).
 struct DurableStats {
-  std::uint64_t persists = 0;  // fsync-analogue events
+  std::uint64_t persists = 0;  // fsync (or fsync-analogue) events
   std::uint64_t reloads = 0;   // rejoin reloads of stable state
 };
 

@@ -1,6 +1,7 @@
 #include "net/net_plan.h"
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "fault/plan_parse.h"
@@ -47,6 +48,24 @@ bool parse_partition(const std::string& body, PartitionSpec& out) {
 }
 
 }  // namespace
+
+MessageFate NetFaultPlan::fate(Rng& rng) const {
+  MessageFate f;
+  if (drop_permille != 0 && rng.chance(drop_permille, 1000)) {
+    f.lost = true;
+    return f;
+  }
+  if (delay.permille != 0 && rng.chance(delay.permille, 1000)) {
+    f.delay = 1 + rng.below(delay.max_steps);
+  }
+  if (reorder_permille != 0 && rng.chance(reorder_permille, 1000)) {
+    f.reorder = 1 + rng.below(3);
+  }
+  if (dup_permille != 0 && rng.chance(dup_permille, 1000)) {
+    f.dup_gap = 1 + rng.below(2);
+  }
+  return f;
+}
 
 bool NetFaultPlan::partitioned(std::uint64_t step, int a, int b) const {
   for (const PartitionSpec& p : partitions) {
@@ -117,29 +136,27 @@ std::optional<NetFaultPlan> NetFaultPlan::parse(const std::string& text,
         "specs or trailing commas");
   }
   NetFaultPlan plan;
-  bool seen_drop = false;
-  bool seen_delay = false;
-  bool seen_dup = false;
-  bool seen_reorder = false;
-  const auto dup_spec = [&](const char* kind) {
-    return fail(std::string("duplicate ") + kind +
-                ": spec (each scalar fault kind may appear at most once)");
-  };
+  std::set<std::string> seen_scalars;
   const auto node_range = [&](const char* kind, int node) {
     return fail(std::string(kind) + ": node id " + std::to_string(node) +
                 " out of range (0.." + std::to_string(kMaxPlanNode) + ")");
   };
   for (const auto& [kind, body] : *specs) {
-    if (kind == "drop") {
-      if (seen_drop) return dup_spec("drop");
-      seen_drop = true;
-      if (!parse_permille(body, plan.drop_permille)) {
-        return fail("drop: bad permille '" + body +
+    unsigned* permille = kind == "drop"      ? &plan.drop_permille
+                         : kind == "dup"     ? &plan.dup_permille
+                         : kind == "reorder" ? &plan.reorder_permille
+                                             : nullptr;
+    if ((permille != nullptr || kind == "delay") &&
+        !seen_scalars.insert(kind).second) {
+      return fail("duplicate " + kind +
+                  ": spec (each scalar fault kind may appear at most once)");
+    }
+    if (permille != nullptr) {
+      if (!parse_permille(body, *permille)) {
+        return fail(kind + ": bad permille '" + body +
                     "' (want an integer in 0..1000)");
       }
     } else if (kind == "delay") {
-      if (seen_delay) return dup_spec("delay");
-      seen_delay = true;
       const std::size_t plus = body.find('+');
       if (plus == std::string::npos || plus == 0 ||
           !parse_permille(body.substr(0, plus), plan.delay.permille) ||
@@ -148,20 +165,6 @@ std::optional<NetFaultPlan> NetFaultPlan::parse(const std::string& text,
         return fail("delay: want '<permille>+<maxsteps>' with permille in "
                     "0..1000 and maxsteps >= 1, got '" +
                     body + "'");
-      }
-    } else if (kind == "dup") {
-      if (seen_dup) return dup_spec("dup");
-      seen_dup = true;
-      if (!parse_permille(body, plan.dup_permille)) {
-        return fail("dup: bad permille '" + body +
-                    "' (want an integer in 0..1000)");
-      }
-    } else if (kind == "reorder") {
-      if (seen_reorder) return dup_spec("reorder");
-      seen_reorder = true;
-      if (!parse_permille(body, plan.reorder_permille)) {
-        return fail("reorder: bad permille '" + body +
-                    "' (want an integer in 0..1000)");
       }
     } else if (kind == "partition") {
       PartitionSpec p;

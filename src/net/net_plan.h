@@ -1,18 +1,19 @@
 // Network fault plans: declarative message-level and replica-level
-// failure schedules for the simulated network (SimNet).
+// failure schedules for the simulated network (SimNet) and sockets.
 //
 // Where src/fault/fault_plan.h describes *process* failures in terms of
 // schedule points, a NetFaultPlan describes what the *network* does to
 // messages and replicas, in terms of the network's own deterministic
-// clock (one tick per delivery step / poll):
+// clock (one tick per delivery step / poll; 1 ms on sockets):
 //
 //   drop p‰          each message is lost with probability p/1000;
 //   delay p‰ + m     each message is delayed by 1..m extra network
 //                    steps with probability p/1000;
-//   dup p‰           each message is delivered twice with probability
-//                    p/1000 (protocol handlers must be idempotent);
-//   reorder p‰       each message is pushed 1..3 steps behind later
-//                    traffic with probability p/1000;
+//   dup p‰           each message is delivered twice, the copy 1..2
+//                    steps later, with probability p/1000 (protocol
+//                    handlers must be idempotent);
+//   reorder p‰       each message is pushed 1..3 more steps behind
+//                    later traffic with probability p/1000;
 //   partition s+l @ G  during network steps [s, s+l), messages between
 //                    the node group G and everything outside it are
 //                    dropped; messages inside G (or entirely outside)
@@ -32,8 +33,9 @@
 //                    the replicated register reloads durable state and
 //                    resynchronizes on the SimNet rejoin hook.
 //
-// All probabilistic choices are drawn from the SimNet's own seeded RNG,
-// so (net seed, plan, schedule) replays a scenario exactly.
+// The first four are one rule, fate(), that both networks draw from
+// their own seeded RNG on every send, so (net seed, plan, schedule)
+// replays a scenario exactly, on either network.
 //
 // Text grammar (one spec per element, comma separated; repeating a
 // scalar spec kind — drop/delay/dup/reorder — is an error, since a
@@ -92,6 +94,34 @@ struct RecoverSpec {
   bool operator==(const RecoverSpec&) const = default;
 };
 
+// One message's fate, in the reader's unit (SimNet steps, socket ms): a
+// message not lost goes out hold() units late, a copy dup_gap after it.
+struct MessageFate {
+  bool lost = false;
+  std::uint64_t delay = 0;    // 1..m when `delay` fired, else 0
+  std::uint64_t reorder = 0;  // 1..3 when `reorder` fired, else 0
+  std::uint64_t dup_gap = 0;  // 1..2 when `dup` fired, else 0
+
+  std::uint64_t hold() const { return delay + reorder; }
+};
+
+// The fault counters of either network (NetStats, TransportStats).
+struct FaultCounts {
+  std::uint64_t dropped_loss = 0;
+  std::uint64_t dropped_partition = 0;
+  std::uint64_t duplicated = 0;
+  std::uint64_t delayed = 0;
+  std::uint64_t reordered = 0;
+
+  // Partition drops are counted where the partition is checked.
+  void count(const MessageFate& fate) {
+    dropped_loss += fate.lost ? 1 : 0;
+    delayed += fate.delay != 0 ? 1 : 0;
+    reordered += fate.reorder != 0 ? 1 : 0;
+    duplicated += fate.dup_gap != 0 ? 1 : 0;
+  }
+};
+
 struct NetFaultPlan {
   unsigned drop_permille = 0;
   DelaySpec delay;
@@ -108,6 +138,10 @@ struct NetFaultPlan {
            reorder_permille == 0 && partitions.empty() && crashes.empty() &&
            recoveries.empty();
   }
+
+  // Draws loss (a lost message draws no more), then delay, reorder and
+  // dup; a kind whose permille is 0 makes no draw.
+  MessageFate fate(Rng& rng) const;
 
   // Whether a partition window open at `step` puts a and b on opposite
   // sides of its group. The one partition rule of both SimNet (network

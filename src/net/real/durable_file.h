@@ -26,12 +26,9 @@
 #include <cstdint>
 #include <string>
 
-namespace compreg::net::real {
+#include "net/durable_state.h"
 
-struct FileDurableStats {
-  std::uint64_t persists = 0;  // records made stable (fsync'd renames)
-  std::uint64_t reloads = 0;
-};
+namespace compreg::net::real {
 
 class FileDurable {
  public:
@@ -56,14 +53,14 @@ class FileDurable {
 
   std::uint64_t ts() const { return ts_; }
   std::uint64_t value() const { return val_; }
-  const FileDurableStats& stats() const { return stats_; }
+  const DurableStats& stats() const { return stats_; }
 
  private:
   std::string path_;
   std::uint64_t ts_ = 0;
   std::uint64_t val_ = 0;
   bool existed_ = false;
-  FileDurableStats stats_;
+  DurableStats stats_;
 };
 
 }  // namespace compreg::net::real

@@ -7,47 +7,37 @@ FaultyTransport::FaultyTransport(Transport& inner, NetFaultPlan plan,
                                  std::chrono::steady_clock::time_point epoch)
     : inner_(inner), plan_(std::move(plan)), rng_(seed), epoch_(epoch) {}
 
-std::uint64_t FaultyTransport::now_ms() const {
-  const auto d = std::chrono::steady_clock::now() - epoch_;
-  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(d);
-  return ms.count() < 0 ? 0 : static_cast<std::uint64_t>(ms.count());
-}
-
 bool FaultyTransport::partition_blocks(int a, int b) const {
   // No clock read per frame when the plan has no partition.
-  return !plan_.partitions.empty() && plan_.partitioned(now_ms(), a, b);
+  if (plan_.partitions.empty()) return false;
+  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      std::chrono::steady_clock::now() - epoch_)
+                      .count();
+  return plan_.partitioned(ms < 0 ? 0 : static_cast<std::uint64_t>(ms), a, b);
 }
 
 void FaultyTransport::send(int dst, const WireMsg& msg) {
   TransportStats& st = inner_.stats();
-  if (partition_blocks(inner_.self(), dst)) {
+  // Drawn before the partition check, so the fate sequence is SimNet's
+  // for the same (plan, seed).
+  const MessageFate fate = plan_.fate(rng_);
+  if (!fate.lost && partition_blocks(inner_.self(), dst)) {
     ++st.dropped_partition;
     return;
   }
-  if (plan_.drop_permille != 0 && rng_.chance(plan_.drop_permille, 1000)) {
-    ++st.dropped_loss;
-    return;
-  }
-  std::uint64_t hold_ms = 0;
-  if (plan_.delay.permille != 0 && rng_.chance(plan_.delay.permille, 1000)) {
-    hold_ms = 1 + rng_.below(plan_.delay.max_steps);
-    ++st.delayed;
-  } else if (plan_.reorder_permille != 0 &&
-             rng_.chance(plan_.reorder_permille, 1000)) {
-    hold_ms = 1 + rng_.below(3);
-    ++st.reordered;
-  }
-  if (hold_ms != 0) {
+  st.count(fate);
+  if (fate.lost) return;
+  const auto hold = [&](std::uint64_t ms) {
     held_.push(Held{std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(hold_ms),
+                        std::chrono::milliseconds(ms),
                     next_seq_++, dst, msg});
-    return;
-  }
-  inner_.send(dst, msg);
-  if (plan_.dup_permille != 0 && rng_.chance(plan_.dup_permille, 1000)) {
-    ++st.duplicated;
+  };
+  if (fate.hold() == 0) {
     inner_.send(dst, msg);
+  } else {
+    hold(fate.hold());
   }
+  if (fate.dup_gap != 0) hold(fate.hold() + fate.dup_gap);
 }
 
 void FaultyTransport::release_due() {

@@ -2,20 +2,20 @@
 //
 // The simulated network injects faults inside its own event queue; the
 // real path injects them in a decorator that sits between the protocol
-// and the SocketTransport, so the same NetFaultPlan grammar drives both
+// and the SocketTransport, so the same NetFaultPlan drives both
 // transports. The mapping (documented in docs/fault_model.md):
 //
-//   drop / dup          per-message coin flips from this endpoint's own
-//                       seeded RNG, applied to *outgoing* messages.
-//   delay p + m         a delayed message is held locally and released
-//                       1..m milliseconds later (1 sim step = 1 ms).
-//   reorder p           approximated as a short 1..3 ms hold — on a
-//                       real network "pushed behind later traffic" has
-//                       no exact meaning, only a temporal one.
+//   drop / delay /      SimNet's per-message rule, NetFaultPlan::fate,
+//   reorder / dup       drawn from this endpoint's own seeded RNG on
+//                       every outgoing message, with 1 plan step = 1
+//                       ms: the message is lost, or goes out hold() ms
+//                       from now (0: at once; otherwise it is held
+//                       locally), and a duplicate, if drawn, is held
+//                       1..2 ms longer than the original.
 //   partition s+l @ G   active during [s, s+l) *milliseconds since the
 //                       fleet epoch*: messages crossing the boundary of
-//                       node group G are dropped on send AND on
-//                       receive. Every fleet process is handed the same
+//                       node group G are dropped on send, on release
+//                       from a hold, and on receive. Every fleet process is handed the same
 //                       monotonic-clock epoch on its command line, so
 //                       the windows line up fleet-wide without any
 //                       coordination traffic.
@@ -24,14 +24,15 @@
 //                       (net/real/supervisor.h), and recovery is a real
 //                       process restart + the rejoin protocol.
 //
-// Held (delayed/reordered) messages are released from poll(): the
-// decorator shortens the caller's deadline to the next release time, so
-// a blocked poll still releases traffic punctually. An inner poll that
+// Held messages are released from poll(): the decorator shortens the
+// caller's deadline to the next release time, so a blocked poll still
+// releases traffic punctually. An inner poll that
 // comes back empty (deadline passed, or a wake) ends the poll unless a
 // held frame fell due, so a wake also ends a poll(Deadline::never()).
 // The exception is a wake that lands in the round where a held frame
-// falls due: that round uses it up. Drops and holds are decided per
-// endpoint from (seed, plan) — deterministic in the decision sequence,
+// falls due: that round uses it up. The fate is drawn before the
+// send-side partition check, so one (plan, seed) gives the same fate
+// sequence here as on SimNet — deterministic in the decision sequence,
 // though wall-clock arrival order stays real.
 #pragma once
 
@@ -57,8 +58,6 @@ class FaultyTransport final : public Transport {
   void send(int dst, const WireMsg& msg) override;
   std::optional<Delivery> poll(const Deadline& deadline) override;
   TransportStats& stats() override { return inner_.stats(); }
-
-  std::uint64_t now_ms() const;
 
  private:
   struct Held {

@@ -33,6 +33,7 @@
 #include <unordered_map>
 
 #include "net/backoff.h"
+#include "net/net_plan.h"
 #include "net/real/wire.h"
 
 namespace compreg::net::real {
@@ -42,10 +43,10 @@ struct Delivery {
   WireMsg msg;
 };
 
-// Socket-level counters, one set per endpoint. The dropped_* fault
-// fields are filled in by FaultyTransport (the fault layer sits above
-// the socket, below the protocol).
-struct TransportStats {
+// Socket-level counters, one set per endpoint. The FaultCounts fields
+// are filled in by FaultyTransport (the fault layer sits above the
+// socket, below the protocol).
+struct TransportStats : FaultCounts {
   std::uint64_t sent = 0;       // frames handed to the kernel (or queued)
   std::uint64_t delivered = 0;  // frames surfaced to the protocol
   std::uint64_t bytes_sent = 0;
@@ -55,12 +56,6 @@ struct TransportStats {
   std::uint64_t connects = 0;
   std::uint64_t accepts = 0;
   std::uint64_t resets = 0;  // connections lost mid-stream
-  // Fault-injection layer (FaultyTransport).
-  std::uint64_t dropped_loss = 0;
-  std::uint64_t dropped_partition = 0;
-  std::uint64_t duplicated = 0;
-  std::uint64_t delayed = 0;
-  std::uint64_t reordered = 0;
 };
 
 class Transport {

@@ -73,36 +73,17 @@ void SimNet::send(int src, int dst, std::function<void()> deliver) {
   // labeled schedule point.
   if (!in_delivery_) sched::point(send_access_.write());
   ++stats_.sent;
-  if (plan_.drop_permille != 0 && rng_.chance(plan_.drop_permille, 1000)) {
-    ++stats_.dropped_loss;
-    return;
-  }
-  Envelope env;
-  env.at = now_ + 1;
-  env.src = src;
-  env.dst = dst;
-  if (plan_.delay.permille != 0 &&
-      rng_.chance(plan_.delay.permille, 1000)) {
-    env.at += 1 + rng_.below(plan_.delay.max_steps);
-    ++stats_.delayed;
-  }
-  if (plan_.reorder_permille != 0 &&
-      rng_.chance(plan_.reorder_permille, 1000)) {
-    env.at += 1 + rng_.below(3);
-    ++stats_.reordered;
-  }
-  const bool dup =
-      plan_.dup_permille != 0 && rng_.chance(plan_.dup_permille, 1000);
-  if (dup) {
+  const MessageFate fate = plan_.fate(rng_);
+  stats_.count(fate);
+  if (fate.lost) return;
+  Envelope env{now_ + 1 + fate.hold(), 0, src, dst, std::move(deliver)};
+  if (fate.dup_gap != 0) {
     Envelope copy = env;
-    copy.at += 1 + rng_.below(2);
+    copy.at += fate.dup_gap;
     copy.seq = next_seq_++;
-    copy.deliver = deliver;
     queue_.push(std::move(copy));
-    ++stats_.duplicated;
   }
   env.seq = next_seq_++;
-  env.deliver = std::move(deliver);
   queue_.push(std::move(env));
 }
 

@@ -14,9 +14,9 @@
 // replays an execution exactly. Outside the simulator the points are
 // no-ops and SimNet is an ordinary single-threaded event queue.
 //
-// Fault injection (NetFaultPlan) happens inside the transport: drop and
-// dup/delay/reorder decisions are drawn from the net's own RNG at
-// send(); partition, replica-crash and recovery-downtime checks happen
+// Fault injection (NetFaultPlan) happens inside the transport: each
+// send() draws its message's fate (NetFaultPlan::fate) from the net's
+// own RNG; partition, replica-crash and recovery-downtime checks happen
 // at delivery time. Crash–recovery cycles (`recover` specs) take a
 // replica down after a message budget and bring it back after a
 // downtime window; the rejoin fires the registered recover hooks (the
@@ -49,17 +49,12 @@ namespace compreg::net {
 // Transport- and client-level counters for one SimNet lifetime. The
 // client fields are filled in by the replicated registers' clients, so
 // every fabric-wide metric lives in one place.
-struct NetStats {
+struct NetStats : FaultCounts {
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
   std::uint64_t polls = 0;
-  std::uint64_t dropped_loss = 0;
-  std::uint64_t dropped_partition = 0;
   std::uint64_t dropped_crash = 0;
   std::uint64_t dropped_down = 0;  // eaten during a recovery downtime
-  std::uint64_t duplicated = 0;
-  std::uint64_t delayed = 0;
-  std::uint64_t reordered = 0;
   std::uint64_t replica_recoveries = 0;  // completed rejoin events
   // Rejoin resynchronization traffic (queries + replies), filled in by
   // the replicated registers like `client` below.

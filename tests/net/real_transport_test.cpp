@@ -2,8 +2,10 @@
 // tested in-process: the wire format, the stream frame reassembler,
 // file-backed durability, loopback socket delivery (UDS and TCP), the
 // cross-thread wake() and the bounded flush(), and the FaultyTransport
-// decorator's drop/partition behavior. The multi-process, kill-9
-// behavior is covered by `tools/compreg_loadgen --direct`, not here.
+// decorator: its drop/partition behavior, its conservation of sends,
+// and that it gives every message SimNet's fate. The multi-process,
+// kill-9 behavior is covered by `tools/compreg_loadgen --direct`, not
+// here.
 #include "net/real/transport.h"
 
 #include <gtest/gtest.h>
@@ -15,12 +17,14 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "net/net_plan.h"
 #include "net/real/durable_file.h"
 #include "net/real/fault_transport.h"
 #include "net/real/wire.h"
+#include "net/sim_net.h"
 
 namespace compreg::net::real {
 namespace {
@@ -410,6 +414,147 @@ TEST(FaultyTransportTest, DelayedMessageStillArrives) {
   auto got = replica.poll(Deadline::after(milliseconds(2000)));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->msg.op, 1u);
+}
+
+// A Transport that records every frame the fault layer passes on and
+// delivers nothing; poll() waits out its deadline.
+class RecordingTransport final : public Transport {
+ public:
+  struct Sent {
+    int dst = 0;
+    std::uint64_t id = 0;  // WireMsg::op
+    std::chrono::steady_clock::time_point at;
+  };
+
+  int self() const override { return 3; }
+  void send(int dst, const WireMsg& msg) override {
+    ++stats_.sent;
+    sent.push_back(Sent{dst, msg.op, std::chrono::steady_clock::now()});
+  }
+  std::optional<Delivery> poll(const Deadline& deadline) override {
+    if (!deadline.unbounded()) std::this_thread::sleep_until(deadline.when());
+    return std::nullopt;
+  }
+  TransportStats& stats() override { return stats_; }
+
+  std::vector<Sent> sent;
+
+ private:
+  TransportStats stats_;
+};
+
+auto fault_counts(const FaultCounts& c) {
+  return std::make_tuple(c.dropped_loss, c.dropped_partition, c.duplicated,
+                         c.delayed, c.reordered);
+}
+
+// Waits out every hold: the longest is delay + reorder + dup gap.
+void drain(FaultyTransport& net) {
+  EXPECT_FALSE(net.poll(Deadline::after(milliseconds(60))).has_value());
+}
+
+// One rule: under one (plan, seed), SimNet and the socket fault layer
+// give each message the same fate — lost, or copies arriving `hold`
+// units late (SimNet steps past the next poll; socket milliseconds) —
+// and count the same five counters.
+TEST(FaultyTransportTest, GivesEveryMessageSimNetsFate) {
+  constexpr int kMsgs = 300;
+  for (const char* text : {"drop:200,delay:300+4,reorder:300,dup:300",
+                           "delay:1000+2,reorder:500,dup:1000",
+                           "drop:500,reorder:200,dup:500"}) {
+    SCOPED_TRACE(text);
+    const auto plan = NetFaultPlan::parse(text);
+    ASSERT_TRUE(plan.has_value());
+    const std::uint64_t seed = 77;
+
+    // SimNet: every send at step 0, so a copy's hold is its arrival
+    // step minus 1.
+    SimNet sim(3, *plan, seed);
+    const int client = sim.new_client_node();
+    std::vector<std::vector<std::uint64_t>> sim_holds(kMsgs);
+    for (int i = 0; i < kMsgs; ++i) {
+      sim.send(client, i % 3,
+               [&sim, &sim_holds, i] { sim_holds[i].push_back(sim.now() - 1); });
+    }
+    while (sim.pending() != 0) sim.poll();
+
+    RecordingTransport inner;
+    FaultyTransport net(inner, *plan, seed,
+                        std::chrono::steady_clock::now());
+    std::vector<std::chrono::steady_clock::time_point> sent_at(kMsgs);
+    std::vector<std::size_t> immediate(kMsgs);
+    for (int i = 0; i < kMsgs; ++i) {
+      const std::size_t before = inner.sent.size();
+      sent_at[i] = std::chrono::steady_clock::now();
+      net.send(i % 3, WireMsg{MsgType::kQuery, 3, static_cast<std::uint64_t>(i),
+                              0, 0});
+      immediate[i] = inner.sent.size() - before;
+    }
+    drain(net);
+    std::vector<std::vector<milliseconds::rep>> socket_waits(kMsgs);
+    for (const RecordingTransport::Sent& s : inner.sent) {
+      socket_waits[s.id].push_back(
+          std::chrono::duration_cast<milliseconds>(s.at - sent_at[s.id])
+              .count());
+    }
+
+    for (int i = 0; i < kMsgs; ++i) {
+      SCOPED_TRACE("message " + std::to_string(i));
+      const std::vector<std::uint64_t>& holds = sim_holds[i];
+      ASSERT_EQ(socket_waits[i].size(), holds.size());
+      // A copy with hold 0 goes out inside send(); a held one no sooner
+      // than its hold in milliseconds.
+      std::size_t unheld = 0;
+      for (std::size_t k = 0; k < holds.size(); ++k) {
+        if (holds[k] == 0) {
+          ++unheld;
+        } else {
+          EXPECT_GE(socket_waits[i][k],
+                    static_cast<milliseconds::rep>(holds[k]));
+        }
+      }
+      EXPECT_EQ(immediate[i], unheld);
+    }
+    EXPECT_EQ(fault_counts(inner.stats()), fault_counts(sim.stats()));
+    EXPECT_GT(sim.stats().duplicated, 0u);
+    EXPECT_GT(sim.stats().reordered, 0u);
+  }
+}
+
+// Conservation for the socket fault layer, as net_chaos_test checks it
+// for SimNet: each send is exactly one of passed on, dropped (loss or
+// partition) or held, and once the holds drain the inner sends are the
+// sends, minus the drops, plus the duplicates.
+TEST(FaultyTransportTest, EverySendIsPassedOnDroppedOrHeld) {
+  // Node 0 is cut off from this client for the whole test.
+  const auto plan = NetFaultPlan::parse(
+      "drop:150,delay:300+3,dup:300,reorder:200,partition:0+10000000@0");
+  ASSERT_TRUE(plan.has_value());
+  RecordingTransport inner;
+  FaultyTransport net(inner, *plan, 5, std::chrono::steady_clock::now());
+  const TransportStats& st = inner.stats();
+  constexpr std::uint64_t kSends = 600;
+  for (std::uint64_t i = 0; i < kSends; ++i) {
+    const std::size_t sent0 = inner.sent.size();
+    const std::uint64_t drops0 = st.dropped_loss + st.dropped_partition;
+    const std::uint64_t delayed0 = st.delayed;
+    const std::uint64_t reordered0 = st.reordered;
+    net.send(static_cast<int>(i % 3), WireMsg{MsgType::kQuery, 3, i, 0, 0});
+    const std::uint64_t passed = inner.sent.size() - sent0;
+    const std::uint64_t dropped =
+        st.dropped_loss + st.dropped_partition - drops0;
+    const std::uint64_t held =
+        (st.delayed != delayed0 || st.reordered != reordered0) ? 1 : 0;
+    EXPECT_EQ(passed + dropped + held, 1u) << "send " << i;
+  }
+  drain(net);
+  EXPECT_EQ(inner.sent.size(), kSends - st.dropped_loss -
+                                   st.dropped_partition + st.duplicated);
+  EXPECT_GT(st.dropped_loss, 0u);
+  EXPECT_GT(st.dropped_partition, 0u);
+  EXPECT_GT(st.duplicated, 0u);
+  EXPECT_GT(st.delayed, 0u);
+  EXPECT_GT(st.reordered, 0u);
 }
 
 }  // namespace

@@ -267,6 +267,9 @@ TEST(SimNetTest, RecoveryDeterministicAcrossRuns) {
                            net.stats().dropped_down,
                            net.stats().replica_recoveries);
   };
+  // Golden, not just run() == run(): a change that reorders one of the
+  // net's draws fails here before any certificate or E14 diff does.
+  EXPECT_EQ(run(), std::make_tuple(27, 5u, 28u, 2u));
   EXPECT_EQ(run(), run());
 }
 
@@ -282,6 +285,8 @@ TEST(SimNetTest, DeterministicAcrossRuns) {
                            net.stats().delayed, net.stats().duplicated,
                            net.stats().reordered);
   };
+  // Golden: the draw order (drop, delay, reorder, dup) is pinned here.
+  EXPECT_EQ(run(), std::make_tuple(45, 10u, 12u, 5u, 6u));
   EXPECT_EQ(run(), run());
 }
 

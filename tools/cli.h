@@ -9,7 +9,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <optional>
+#include <string>
+#include <system_error>
 
 #include "util/decimal.h"
 
@@ -28,6 +32,17 @@ constexpr int kExitUsage = 64;
   va_end(args);
   std::fputc('\n', stderr);
   std::exit(kExitUsage);
+}
+
+// Whether `path` can be opened for writing, checked at startup without
+// leaving a file behind: an output path that cannot be written exits 64
+// before the run, not after it with the output lost.
+inline bool can_write(const std::string& path) {
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  const bool ok = std::ofstream(path, std::ios::app).is_open();
+  if (ok && !existed) std::filesystem::remove(path, ec);
+  return ok;
 }
 
 // Parses a numeric flag's value with parse_decimal (util/decimal.h): the

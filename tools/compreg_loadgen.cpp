@@ -47,7 +47,8 @@
 // are validated by tools/check_bench_schema.py.
 //
 // Exit codes: 0 clean, 1 violation (artifact written), 2 watchdog hang,
-// 64 usage (including a flag that does not apply to the selected mode).
+// 64 usage (including a flag that does not apply to the selected mode,
+// and an --out path that cannot be opened, checked at startup).
 #include <unistd.h>
 
 #include <algorithm>
@@ -106,6 +107,7 @@ using compreg::server::make_write_req;
 using compreg::server::ServerClient;
 using compreg::tools::Artifact;
 using compreg::tools::AuditStart;
+using compreg::tools::can_write;
 using compreg::tools::epoch_to_ns;
 using compreg::tools::Fleet;
 using compreg::tools::FleetConfig;
@@ -1236,6 +1238,11 @@ int main(int argc, char** argv) {
       opt.bench_json = next(flag);
     } else if (!std::strcmp(flag, "--out")) {
       opt.artifact.path = next(flag);
+      if (!can_write(opt.artifact.path)) {
+        std::fprintf(stderr, "cannot write --out %s\n",
+                     opt.artifact.path.c_str());
+        return kExitUsage;
+      }
     } else if (!std::strcmp(flag, "--front-port")) {
       opt.front_port = static_cast<int>(number(1, kMaxPort));
       service_flag = flag;

@@ -28,7 +28,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -41,6 +40,7 @@ namespace {
 
 using compreg::server::Server;
 using compreg::server::ServerConfig;
+using compreg::tools::can_write;
 using compreg::tools::epoch_to_ns;
 using compreg::tools::Fleet;
 using compreg::tools::FleetConfig;
@@ -53,16 +53,6 @@ using compreg::tools::run_replica_child;
 using compreg::net::real::TransportKind;
 
 std::atomic<Server*> g_server{nullptr};
-
-// Whether `path` can be opened for writing. Checked without leaving a
-// file behind: a stats file appears only when the daemon has drained.
-bool can_write(const std::string& path) {
-  std::error_code ec;
-  const bool existed = std::filesystem::exists(path, ec);
-  const bool ok = std::ofstream(path, std::ios::app).is_open();
-  if (ok && !existed) std::filesystem::remove(path, ec);
-  return ok;
-}
 
 // Writes `text` to `path`; false, said on stderr, if any of it failed.
 bool write_file(const std::string& path, const std::string& text) {

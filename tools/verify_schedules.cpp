@@ -94,8 +94,9 @@
 // Exit codes: 0 = clean (certified, bounded-clean, or every sample);
 // 1 = violation, conformance finding, witness failure or
 // cross-validation mismatch (artifact written to --out); 2 = watchdog
-// timeout; 64 = usage error, or a --certificate file that cannot be
-// opened (checked before exploring) or written.
+// timeout; 64 = usage error, an --out path that cannot be opened
+// (checked at startup), or a --certificate file that cannot be opened
+// (checked before exploring) or written.
 #include <atomic>
 #include <chrono>
 #include <climits>
@@ -137,6 +138,7 @@ namespace lin = compreg::lin;
 namespace net = compreg::net;
 namespace sched = compreg::sched;
 using compreg::tools::Artifact;
+using compreg::tools::can_write;
 using compreg::tools::kExitUsage;
 using compreg::tools::kExitViolation;
 using compreg::tools::LiveState;
@@ -263,6 +265,9 @@ Options parse_args(int argc, char** argv) {
       o.amnesia_text = value();
     } else if (f == "--out") {
       o.artifact.path = value();
+      if (!can_write(o.artifact.path)) {
+        usage_error("cannot write --out %s", o.artifact.path.c_str());
+      }
     } else if (f == "--watchdog") {
       o.watchdog = static_cast<long>(number(0, 1'000'000));
     } else if (f == "--max-schedules") {
