@@ -34,6 +34,17 @@
 // after the slab, on lines no reader loads, so a write stores nothing
 // into a line an adopting reader is about to read.
 //
+// The cell object itself is two groups, split by who reads them. The
+// reader group (the current pointer and the slots' address, plus the
+// reader count and access label that reads touch only in checks) fills
+// the first cache line; the writer group (the slab and array addresses,
+// the slab capacity, the counts and the owned block) fills the third,
+// after an empty line, and no reader loads it. A write touches the
+// reader line only through its exchange of the current pointer, and a
+// hazard scan, at most once per readers+1 writes, reads the slots'
+// address and the reader count there. A static_assert keeps the reader
+// group within its line.
+//
 // Nodes are recycled, not freed. A write takes a node from the free
 // stack and copy-assigns into it (reusing, e.g., the capacity of the
 // payload's vectors); with the stack empty it builds the next slab
@@ -93,12 +104,13 @@ class HazardCell {
     const std::size_t slots = static_cast<std::size_t>(readers);
     hazards_ = static_cast<HazardSlot*>(storage);
     std::uninitialized_default_construct_n(hazards_, slots);
-    slab_ = reinterpret_cast<std::byte*>(hazards_ + slots);
-    free_ = reinterpret_cast<Index*>(slab_ + capacity() * sizeof(Node));
-    retired_ = free_ + capacity();
-    marks_ = reinterpret_cast<unsigned char*>(retired_ + capacity());
-    std::uninitialized_default_construct_n(free_, 2 * capacity());
-    std::uninitialized_default_construct_n(marks_, capacity());
+    w_.capacity = capacity(readers);
+    w_.slab = reinterpret_cast<std::byte*>(hazards_ + slots);
+    w_.free = reinterpret_cast<Index*>(w_.slab + w_.capacity * sizeof(Node));
+    w_.retired = w_.free + w_.capacity;
+    w_.marks = reinterpret_cast<unsigned char*>(w_.retired + w_.capacity);
+    std::uninitialized_default_construct_n(w_.free, 2 * w_.capacity);
+    std::uninitialized_default_construct_n(w_.marks, w_.capacity);
     current_.store(build(std::move(initial)), std::memory_order_relaxed);
     account_register(label, payload_bits, readers);
   }
@@ -111,7 +123,14 @@ class HazardCell {
                    payload_bits) {}
 
   ~HazardCell() {
-    for (Index i = 0; i < nodes_; ++i) node_at(i)->~Node();
+    // The reader group fills at most one line, so the writer group
+    // starts two lines further on and no write loads a line a reader
+    // polls. A member that pushes the reader group past its line fails
+    // here (the class is complete in a member body) instead of slowing
+    // every write.
+    static_assert(sizeof(HazardCell) == 2 * kLine + sizeof(WriterGroup),
+                  "HazardCell's reader group fits in one cache line");
+    for (Index i = 0; i < w_.nodes; ++i) node_at(i)->~Node();
   }
 
   HazardCell(const HazardCell&) = delete;
@@ -122,12 +141,12 @@ class HazardCell {
   // Nodes built so far (current + retired + free); never exceeds
   // 2*readers+2, and reaches it only after 2*readers+1 writes.
   // Writer-side: call from the writer or after it is joined.
-  std::uint64_t node_count() const { return nodes_; }
+  std::uint64_t node_count() const { return w_.nodes; }
 
   // Hazard scans so far: one per write that found the free stack empty
   // and the slab full; at most one per readers+1 writes, whatever the
   // readers pin. Writer-side: call from the writer or after it is joined.
-  std::uint64_t hazard_scans() const { return scans_; }
+  std::uint64_t hazard_scans() const { return w_.scans; }
 
   // reader_id in [0, readers): each concurrent reader must use a
   // distinct slot (two sequential reads may share one). `f` runs on the
@@ -171,9 +190,9 @@ class HazardCell {
   void write(const T& value) {
     sched::point(access_.write());
     ++op_counters().reg_writes;
-    if (free_count_ == 0 && nodes_ == capacity()) reclaim();
+    if (w_.free_count == 0 && w_.nodes == w_.capacity) reclaim();
     Node* node;
-    if (free_count_ != 0) {
+    if (w_.free_count != 0) {
       // A free node is neither current nor protected by any slot
       // (reclaim() saw no slot holding it after it was retired), so
       // no reader can dereference it: a reader that still holds its
@@ -181,14 +200,14 @@ class HazardCell {
       // succeeds once the exchange below publishes it again, after this
       // assignment. This is the hazard argument that already covers
       // malloc handing a freed address back to `new`.
-      node = node_at(free_[--free_count_]);
+      node = node_at(w_.free[--w_.free_count]);
       node->value = value;
     } else {
       // Free stack empty and slab not yet full: build the next node.
       node = build(value);
     }
     const Node* old = current_.exchange(node, std::memory_order_seq_cst);
-    retired_[retired_count_++] = index_of(old);
+    w_.retired[w_.retired_count++] = index_of(old);
   }
 
  private:
@@ -229,7 +248,7 @@ class HazardCell {
              std::uint64_t payload_bits)
       : HazardCell(storage.start, readers, std::move(initial), label,
                    payload_bits) {
-    block_ = std::move(storage.block);
+    w_.block = std::move(storage.block);
   }
 
   // readers+1 free nodes per scan: at most `readers` of the other
@@ -237,17 +256,16 @@ class HazardCell {
   static Index capacity(int readers) {
     return 2 * static_cast<Index>(readers) + 2;
   }
-  Index capacity() const { return capacity(readers_); }
 
   Node* node_at(Index i) const {
-    return std::launder(reinterpret_cast<Node*>(slab_ + i * sizeof(Node)));
+    return std::launder(reinterpret_cast<Node*>(w_.slab + i * sizeof(Node)));
   }
 
   // A node's slab index. Pointer arithmetic only: the node is not
   // dereferenced.
   Index index_of(const Node* node) const {
     return static_cast<Index>(
-        (reinterpret_cast<const std::byte*>(node) - slab_) / sizeof(Node));
+        (reinterpret_cast<const std::byte*>(node) - w_.slab) / sizeof(Node));
   }
 
   // Builds the next slab node in place. Writer-private (and the
@@ -255,11 +273,11 @@ class HazardCell {
   // fixed buffer.
   template <typename U>
   Node* build(U&& value) {
-    COMPREG_CHECK(nodes_ < capacity(),
+    COMPREG_CHECK(w_.nodes < w_.capacity,
                   "HazardCell slab holds 2*readers+2 nodes");
-    Node* node = ::new (slab_ + nodes_ * sizeof(Node))
+    Node* node = ::new (w_.slab + w_.nodes * sizeof(Node))
         Node{std::forward<U>(value)};
-    ++nodes_;
+    ++w_.nodes;
     return node;
   }
 
@@ -277,43 +295,58 @@ class HazardCell {
     // but never any value a process observes: readers publish only to
     // their own slot, and the caller (write) has already announced its
     // labeled point.
-    ++scans_;
-    std::fill_n(marks_, capacity(), 0);
+    ++w_.scans;
+    std::fill_n(w_.marks, w_.capacity, 0);
     for (int j = 0; j < readers_; ++j) {
       const Node* hazard = hazards_[static_cast<std::size_t>(j)].ptr.load(
           std::memory_order_seq_cst);
-      if (hazard != nullptr) marks_[index_of(hazard)] = 1;
+      if (hazard != nullptr) w_.marks[index_of(hazard)] = 1;
     }
-    const Index count = std::exchange(retired_count_, 0);
+    const Index count = std::exchange(w_.retired_count, 0);
     for (Index i = 0; i < count; ++i) {
-      const Index index = retired_[i];
-      if (marks_[index] != 0) {
-        retired_[retired_count_++] = index;
+      const Index index = w_.retired[i];
+      if (w_.marks[index] != 0) {
+        w_.retired[w_.retired_count++] = index;
       } else {
-        free_[free_count_++] = index;
+        w_.free[w_.free_count++] = index;
       }
     }
   }
 
+  // The reader group, on the cell's first line. Every read loads
+  // current_ and hazards_; readers_ and access_ only in a DCHECK or on
+  // the scheduler's slow path. The writer stores here only through
+  // current_'s exchange, and reads readers_ and hazards_ only in a
+  // hazard scan, at most once per readers+1 writes.
   const int readers_;
   sched::AccessLabel access_;
   std::atomic<Node*> current_{nullptr};
   HazardSlot* hazards_ = nullptr;  // readers_ slots at the block's head
-  std::byte* slab_ = nullptr;      // capacity() nodes after the slots
-  std::unique_ptr<void, FreeBlock> block_;  // null over caller storage
-  // Every read loads the members above; every write stores into the
-  // ones below. The pad keeps the two off one cache line.
-  char pad_[64];
-  // Writer-private: the free stack and the retired list (node indices,
-  // capacity() each, after the slab), the scan's per-node marks, the
-  // built-node count and the scan count.
-  Index* free_ = nullptr;
-  Index* retired_ = nullptr;
-  unsigned char* marks_ = nullptr;
-  Index free_count_ = 0;
-  Index retired_count_ = 0;
-  Index nodes_ = 0;
-  std::uint64_t scans_ = 0;
+
+  // Keeps the writer group off the line after the readers' line: with
+  // the writer group right there, snapshot-deep's write_p50_us rose
+  // 14.5% where with this gap it falls (EXPERIMENTS E30), most likely
+  // because a core that loads a line also prefetches its neighbour.
+  alignas(kLine) std::byte gap_[kLine];
+
+  // The writer group, on a line of its own, which no reader loads: a
+  // write finds everything it needs here without pulling back the line
+  // the readers just took for current_.
+  struct alignas(kLine) WriterGroup {
+    std::byte* slab = nullptr;  // `capacity` nodes after the slots
+    // The free stack and the retired list (node indices, `capacity`
+    // each, after the slab) and the scan's per-node marks.
+    Index* free = nullptr;
+    Index* retired = nullptr;
+    unsigned char* marks = nullptr;
+    std::uint64_t scans = 0;
+    std::unique_ptr<void, FreeBlock> block;  // null over caller storage
+    Index capacity = 0;  // capacity(readers_), kept off the reader line
+    Index free_count = 0;
+    Index retired_count = 0;
+    Index nodes = 0;  // slab nodes built so far
+  };
+  WriterGroup w_;
 };
 
 }  // namespace compreg::registers

@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "lin/register_checker.h"
+#include "sched/policy.h"
+#include "sched/sim_scheduler.h"
 
 namespace compreg::registers {
 namespace {
@@ -222,6 +224,58 @@ TEST(HazardCellTest, DistinctPinsScanOncePerReadersPlusOneWrites) {
   EXPECT_LE(scans, (kWrites + kReaders) / (kReaders + 1) + 1)
       << "a scan freed fewer than readers+1 nodes";
   EXPECT_EQ(cell.read(0), std::vector<int>(16, next - 1));
+}
+
+// Reclamation golden: one writer and three readers under the simulator,
+// interleaved by a seeded random policy. Each read leaves its slot
+// pinned on the node it returned, so which nodes a hazard scan keeps,
+// and so how often the writer scans, follows the schedule, and the
+// seed fixes all of it. The numbers pin the writer's
+// build/take/retire/scan order and its slab size, which the bound
+// tests above check only up to an inequality. The two seeds were
+// picked for schedules that scan a different number of times.
+TEST(HazardCellTest, SimulatedReclamationMatchesGolden) {
+  constexpr int kReaders = 3;
+  constexpr std::uint64_t kWrites = 8 * (2 * kReaders + 2);
+  constexpr int kReads = 40;
+  struct Golden {
+    std::uint64_t seed;
+    std::uint64_t scans;
+    std::uint64_t nodes;
+    std::array<std::uint64_t, kReaders> last;
+  };
+  const std::array<Golden, 2> goldens{{
+      {6, 10, 8, {57, 43, 59}},
+      {8, 12, 8, {24, 35, 26}},
+  }};
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(golden.seed);
+    HazardCell<std::uint64_t> cell(kReaders, 0);
+    std::array<std::uint64_t, kReaders> last{};
+    std::array<bool, kReaders> monotone{};
+    monotone.fill(true);
+    sched::RandomPolicy policy(golden.seed);
+    sched::SimScheduler sim(policy);
+    sim.spawn([&] {
+      for (std::uint64_t v = 1; v <= kWrites; ++v) cell.write(v);
+    });
+    for (int j = 0; j < kReaders; ++j) {
+      sim.spawn([&, j] {
+        const auto slot = static_cast<std::size_t>(j);
+        for (int i = 0; i < kReads; ++i) {
+          const std::uint64_t v = cell.read(j);
+          monotone[slot] = monotone[slot] && v >= last[slot];
+          last[slot] = v;
+        }
+      });
+    }
+    sim.run();
+    EXPECT_EQ(cell.hazard_scans(), golden.scans);
+    EXPECT_EQ(cell.node_count(), golden.nodes);
+    EXPECT_EQ(last, golden.last);
+    EXPECT_EQ(monotone, (std::array<bool, kReaders>{true, true, true}));
+    EXPECT_EQ(cell.read(0), kWrites);
+  }
 }
 
 // Node recycling under concurrency: the writer copy-assigns each new

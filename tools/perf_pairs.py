@@ -10,12 +10,14 @@ edit made to a checkout during the pairs cannot reach the measurement.
 Each copy builds into its own CARGO_TARGET_DIR (<copy>/.bench_build), so
 neither side rebuilds the other's tree.
 
-For every metric the run reports, prints each side's median and
-quartiles, the change in the median, the pairs the change won (ties
-count for neither) and the verdict of the gain rule: the change wins at
-least nine tenths of the pairs and the medians differ by more than the
-base's interquartile range. The metric's direction and bound come from
-the base checkout's BENCHMARK.json.
+As each run ends, prints its seed, side and metric values to stderr,
+so the per-pair values behind a median (of a bimodal metric, say) can
+be read back. For every metric the run reports, prints each side's
+median and quartiles, the change in the median, the pairs the change
+won (ties count for neither) and the verdict of the gain rule: the
+change wins at least nine tenths of the pairs and the medians differ by
+more than the base's interquartile range. The metric's direction and
+bound come from the base checkout's BENCHMARK.json.
 
 Writes the rows as a BENCH_*.json in the shared envelope
 ({"schema_version": 1, "bench": "perf_pairs", "rows": [...]}); the
@@ -206,9 +208,12 @@ def measure(args):
                                      args.seconds, args.trace)
                     bad = bad or not result.get("correct", False)
                     runs[side].append(result)
-                    print("%s pair %d seed %d %s done (failed %d)" %
+                    values = " ".join(
+                        "%s=%.6g" % (name, m["value"]) for name, m in
+                        sorted(result.get("metrics", {}).items()))
+                    print("%s pair %d seed %d %s done (failed %d) %s" %
                           (workload, i + 1, seed, side,
-                           result.get("failed", 0)),
+                           result.get("failed", 0), values),
                           file=sys.stderr, flush=True)
             rows += rows_from_runs(workload, specs, runs["base"],
                                    runs["change"])
